@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import OrdbenchError, ParseError
+from .errors import OrdbenchError
 from .lattice import catalog
 from .connection import AdjointConnection, find_left_adjoint, find_right_adjoint
 from .laws import LAW_IDS, SUITE_ORDER, eval_law, parse_predicate, run_suite, search_counterexample
@@ -216,9 +216,6 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OrdbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

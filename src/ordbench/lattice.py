@@ -71,6 +71,11 @@ class FiniteLattice:
     def has_binary_joins(self) -> bool:
         return all(j is not None for row in self.join for j in row)
 
+    @cached_property
+    def geq(self) -> tuple[tuple[bool, ...], ...]:
+        """The transposed order table: ``geq[a][b]`` iff b <= a."""
+        return tuple(zip(*self.leq))
+
     def __repr__(self) -> str:
         return f"FiniteLattice({self.name!r}, size={self.size})"
 

@@ -4,7 +4,15 @@ Eighteen laws are recognised: LM0..LM5 and RM0..RM5 (the modular-connection
 family), LF0/LF1/LF2 and RF0/RF1/RF2 (the reciprocity family).  Each law is
 a universally quantified statement about an adjoint connection; evaluation
 checks every case, and a failing law always carries a witness with both
-evaluated sides so it can be reproduced independently.
+evaluated sides so it can be reproduced independently.  The witness is the
+first failing assignment in the lexicographic order of the law's own
+variables.
+
+Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
+on the opposite connection Q^op -> P^op, whose left adjoint is g and whose
+right adjoint is f; its table entry renames the variables, visits them in
+its own order where the two laws list them differently, and swaps the two
+sides of an inequality, which reverses under duality.
 
 Laws whose structural hypotheses are missing (no top, no binary meets, a
 missing adjoint, ...) are reported as *skipped*, never silently true or
@@ -82,9 +90,12 @@ class _LawDef:
     needs_left: bool
     needs_right: bool
     requires: tuple[str, ...]
-    prep: Callable
+    context: Callable  # adjoint connection -> evaluation context
+    prep: Callable  # adds a law's own tables to the context
     cases: Callable
     check: Callable
+    reverse: bool  # a case lists the law's variables in reverse order
+    swap: bool  # a case's (lhs, rhs) are the law's (rhs, lhs)
 
 
 _STRUCTURE_REASONS = {
@@ -124,6 +135,31 @@ def _base_ctx(ac: AdjointConnection) -> SimpleNamespace:
     )
 
 
+def _opposite_ctx(ac: AdjointConnection) -> SimpleNamespace:
+    """The context of the opposite connection Q^op -> P^op.
+
+    Its left adjoint is g and its right adjoint f; orders are transposed,
+    meets and joins swapped, and P^op's top is Q's bottom.
+    """
+    P, Q = ac.source, ac.target
+    return SimpleNamespace(
+        f=ac.right.values if ac.right is not None else None,
+        g=ac.left.values if ac.left is not None else None,
+        leqP=Q.geq, leqQ=P.geq,
+        meetP=Q.join, joinP=Q.meet, meetQ=P.join, joinQ=P.meet,
+        n=Q.size, m=P.size, topP=Q.bottom, botQ=P.top,
+    )
+
+
+def _no_prep(ctx):
+    return ctx
+
+
+def _image(ctx):
+    ctx.image = frozenset(ctx.f)
+    return ctx
+
+
 def _down_images(ctx):
     # ctx.down_img[b] = image under f of everything below b
     ctx.down_img = [
@@ -132,18 +168,11 @@ def _down_images(ctx):
     return ctx
 
 
-def _up_images(ctx):
-    # ctx.up_img[c] = image under g of everything above c
-    ctx.up_img = [
-        frozenset(ctx.g[d] for d in range(ctx.m) if ctx.leqQ[c][d]) for c in range(ctx.m)
-    ]
-    return ctx
-
-
 # ---------------------------------------------------------------------------
-# The law table.  Each law contributes a case iterator (assignments in
-# ascending index order, so the first witness is deterministic) and a check
-# returning (ok, lhs, rhs).
+# The law table.  Each left-hand law contributes a case iterator (assignments
+# in ascending index order, so the first witness is deterministic) and a
+# check returning (ok, lhs, rhs).  Each right-hand law is a left-hand law
+# evaluated on the opposite connection.
 
 
 def _lm0_cases(ctx):
@@ -155,12 +184,6 @@ def _lm0_check(ctx, case):
     lhs = ctx.f[ctx.g[y]]
     rhs = ctx.meetQ[y][ctx.f[ctx.topP]]
     return (rhs is not None and lhs == rhs, lhs, rhs)
-
-
-def _lm1_prep(ac):
-    ctx = _base_ctx(ac)
-    ctx.image = frozenset(ctx.f)
-    return ctx
 
 
 def _lm1_cases(ctx):
@@ -223,83 +246,6 @@ def _lm5_check(ctx, case):
     return (ctx.leqQ[lhs][d], lhs, d)
 
 
-def _rm0_cases(ctx):
-    return ((x,) for x in range(ctx.n))
-
-
-def _rm0_check(ctx, case):
-    (x,) = case
-    lhs = ctx.g[ctx.f[x]]
-    rhs = ctx.joinP[x][ctx.g[ctx.botQ]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
-
-
-def _rm1_prep(ac):
-    ctx = _base_ctx(ac)
-    ctx.image = frozenset(ctx.g)
-    return ctx
-
-
-def _rm1_cases(ctx):
-    return (
-        (c, b) for c in range(ctx.m) for b in range(ctx.n) if ctx.leqP[ctx.g[c]][b]
-    )
-
-
-def _rm1_check(ctx, case):
-    c, b = case
-    ok = b in ctx.image
-    return (ok, b, b if ok else None)
-
-
-def _rm2_cases(ctx):
-    return ((a, b) for a in range(ctx.n) for b in range(ctx.n) if ctx.leqP[a][b])
-
-
-def _rm2_check(ctx, case):
-    a, b = case
-    lhs = ctx.g[ctx.f[b]]
-    rhs = ctx.joinP[b][ctx.g[ctx.f[a]]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
-
-
-def _rm3_cases(ctx):
-    return (
-        (a, b) for a in range(ctx.n) for b in range(ctx.n) if ctx.joinP[a][b] is not None
-    )
-
-
-def _rm3_check(ctx, case):
-    a, b = case
-    lhs = ctx.g[ctx.f[ctx.joinP[a][b]]]
-    rhs = ctx.joinP[a][ctx.g[ctx.f[b]]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
-
-
-def _rm4_cases(ctx):
-    return ((a, b) for a in range(ctx.n) for b in range(ctx.n) if ctx.f[a] == ctx.f[b])
-
-
-def _rm4_check(ctx, case):
-    a, b = case
-    gbot = ctx.g[ctx.botQ]
-    lhs = ctx.joinP[a][gbot]
-    rhs = ctx.joinP[b][gbot]
-    return (lhs == rhs, lhs, rhs)
-
-
-def _rm5_cases(ctx):
-    return (
-        (a, b) for a in range(ctx.n) for b in range(ctx.n) if ctx.leqQ[ctx.f[a]][ctx.f[b]]
-    )
-
-
-def _rm5_check(ctx, case):
-    a, b = case
-    rhs = ctx.joinP[b][ctx.g[ctx.botQ]]
-    return (ctx.leqP[a][rhs], a, rhs)
-
-
 def _lf0_cases(ctx):
     return ((b, c) for b in range(ctx.n) for c in range(ctx.m))
 
@@ -309,21 +255,6 @@ def _lf0_check(ctx, case):
     lhs = ctx.meetQ[c][ctx.f[b]]
     rhs = ctx.f[ctx.meetP[ctx.g[c]][b]]
     return (lhs == rhs, lhs, rhs)
-
-
-def _rf0_cases(ctx):
-    return ((a, c) for a in range(ctx.n) for c in range(ctx.m))
-
-
-def _rf0_check(ctx, case):
-    a, c = case
-    lhs = ctx.joinP[a][ctx.g[c]]
-    rhs = ctx.g[ctx.joinQ[ctx.f[a]][c]]
-    return (lhs == rhs, lhs, rhs)
-
-
-def _lf1_prep(ac):
-    return _down_images(_base_ctx(ac))
 
 
 def _lf1_cases(ctx):
@@ -356,91 +287,98 @@ def _lf2_check(ctx, case):
     return (ok, c, c if ok else None)
 
 
-def _rf1_prep(ac):
-    return _up_images(_base_ctx(ac))
-
-
-def _rf1_cases(ctx):
-    return (
-        (c, b) for c in range(ctx.m) for b in range(ctx.n) if ctx.leqP[ctx.g[c]][b]
-    )
-
-
-def _rf1_check(ctx, case):
-    c, b = case
-    ok = b in ctx.up_img[c]
-    return (ok, b, b if ok else None)
-
-
-def _rf2_cases(ctx):
-    leqP, leqQ, g = ctx.leqP, ctx.leqQ, ctx.g
-    return (
-        (c, d, b)
-        for c in range(ctx.m)
-        for d in range(ctx.m)
-        if leqQ[c][d]
-        for b in range(ctx.n)
-        if leqP[g[d]][b]
-    )
-
-
-def _rf2_check(ctx, case):
-    c, d, b = case
-    ok = b in ctx.up_img[c]
-    return (ok, b, b if ok else None)
-
-
 def _law(law_id, vars_, var_sides, value_side, requires=(), needs_left=True,
-         needs_right=True, prep=_base_ctx, cases=None, check=None):
+         needs_right=True, prep=_no_prep, cases=None, check=None):
     return _LawDef(law_id, vars_, var_sides, value_side, needs_left, needs_right,
-                   tuple(requires), prep, cases, check)
+                   tuple(requires), _base_ctx, prep, cases, check, False, False)
 
 
 LAW_TABLE = {
     law.id: law
     for law in (
         _law("LM0", ("y",), "Q", "Q", requires=("topP",), cases=_lm0_cases, check=_lm0_check),
-        _law("LM1", ("b", "c"), "PQ", "Q", prep=_lm1_prep, cases=_lm1_cases, check=_lm1_check),
+        _law("LM1", ("b", "c"), "PQ", "Q", prep=_image, cases=_lm1_cases, check=_lm1_check),
         _law("LM2", ("c", "d"), "QQ", "Q", cases=_lm2_cases, check=_lm2_check),
         _law("LM3", ("c", "d"), "QQ", "Q", cases=_lm3_cases, check=_lm3_check),
         _law("LM4", ("c", "d"), "QQ", "Q", requires=("topP", "meetsQ"),
              cases=_lm4_cases, check=_lm4_check),
         _law("LM5", ("c", "d"), "QQ", "Q", requires=("topP", "meetsQ"),
              cases=_lm5_cases, check=_lm5_check),
-        _law("RM0", ("x",), "P", "P", requires=("botQ",), cases=_rm0_cases, check=_rm0_check),
-        _law("RM1", ("c", "b"), "QP", "P", prep=_rm1_prep, cases=_rm1_cases, check=_rm1_check),
-        _law("RM2", ("a", "b"), "PP", "P", cases=_rm2_cases, check=_rm2_check),
-        _law("RM3", ("a", "b"), "PP", "P", cases=_rm3_cases, check=_rm3_check),
-        _law("RM4", ("a", "b"), "PP", "P", requires=("joinsP", "botQ"),
-             cases=_rm4_cases, check=_rm4_check),
-        _law("RM5", ("a", "b"), "PP", "P", requires=("joinsP", "botQ"),
-             cases=_rm5_cases, check=_rm5_check),
         _law("LF0", ("b", "c"), "PQ", "Q", requires=("meetsP", "meetsQ"),
              cases=_lf0_cases, check=_lf0_check),
         _law("LF1", ("b", "c"), "PQ", "Q", needs_right=False,
-             prep=_lf1_prep, cases=_lf1_cases, check=_lf1_check),
+             prep=_down_images, cases=_lf1_cases, check=_lf1_check),
         _law("LF2", ("a", "b", "c"), "PPQ", "Q", needs_right=False,
-             prep=_lf1_prep, cases=_lf2_cases, check=_lf2_check),
-        _law("RF0", ("a", "c"), "PQ", "P", requires=("joinsP", "joinsQ"),
-             cases=_rf0_cases, check=_rf0_check),
-        _law("RF1", ("c", "b"), "QP", "P", needs_left=False,
-             prep=_rf1_prep, cases=_rf1_cases, check=_rf1_check),
-        _law("RF2", ("c", "d", "b"), "QQP", "P", needs_left=False,
-             prep=_rf1_prep, cases=_rf2_cases, check=_rf2_check),
+             prep=_down_images, cases=_lf2_cases, check=_lf2_check),
     )
 }
 
 
+def _opposite_law(law_id, base_id, vars_, requires=(), reorder=None, swap=False):
+    """Law ``law_id`` as law ``base_id`` read on the opposite connection.
+
+    The variables are the base law's, renamed; ``requires`` is the law's
+    own, so skip reasons name the law's own posets.  A law whose two
+    variables are the base law's in reverse passes ``reorder``, which
+    visits the base law's assignments in this law's lexicographic order.
+    ``swap`` marks a base inequality, which reverses: its lhs is this
+    law's rhs.
+    """
+    base = LAW_TABLE[base_id]
+    sides = base.var_sides.translate(str.maketrans("PQ", "QP"))
+    return _LawDef(law_id, vars_, sides[::-1] if reorder else sides, "P",
+                   base.needs_right, base.needs_left, tuple(requires), _opposite_ctx,
+                   base.prep, reorder or base.cases, base.check, reorder is not None, swap)
+
+
+# A base law's assignments in the lexicographic order of its variables
+# reversed, which is the order of the right-hand law's own variables:
+# RM2 and RM5 at (a, b) are LM2 and LM5 at c=b, d=a; RF0 at (a, c) is LF0
+# at b=c, c=a.
+def _lm2_cases_reversed(ctx):
+    return ((c, d) for d in range(ctx.m) for c in range(ctx.m) if ctx.leqQ[c][d])
+
+
+def _lm5_cases_reversed(ctx):
+    g, leqP = ctx.g, ctx.leqP
+    return ((c, d) for d in range(ctx.m) for c in range(ctx.m) if leqP[g[c]][g[d]])
+
+
+def _lf0_cases_reversed(ctx):
+    return ((b, c) for c in range(ctx.m) for b in range(ctx.n))
+
+
+LAW_TABLE.update(
+    (law.id, law)
+    for law in (
+        _opposite_law("RM0", "LM0", ("x",), requires=("botQ",)),
+        _opposite_law("RM1", "LM1", ("c", "b")),
+        _opposite_law("RM2", "LM2", ("a", "b"), reorder=_lm2_cases_reversed),
+        _opposite_law("RM3", "LM3", ("a", "b")),
+        _opposite_law("RM4", "LM4", ("a", "b"), requires=("joinsP", "botQ")),
+        _opposite_law("RM5", "LM5", ("a", "b"), requires=("joinsP", "botQ"),
+                      reorder=_lm5_cases_reversed, swap=True),
+        _opposite_law("RF0", "LF0", ("a", "c"), requires=("joinsP", "joinsQ"),
+                      reorder=_lf0_cases_reversed),
+        _opposite_law("RF1", "LF1", ("c", "b")),
+        _opposite_law("RF2", "LF2", ("c", "d", "b")),
+    )
+)
+
+
 def _render_witness(law: _LawDef, ac: AdjointConnection, case, lhs, rhs) -> Witness:
+    indices = tuple(case)[::-1] if law.reverse else tuple(case)
+    if law.swap:
+        lhs, rhs = rhs, lhs
     P, Q = ac.source, ac.target
     labels = {"P": P.labels, "Q": Q.labels}
     assignment = tuple(
-        (var, labels[side][idx]) for var, side, idx in zip(law.vars, law.var_sides, case)
+        (var, labels[side][idx]) for var, side, idx in zip(law.vars, law.var_sides, indices)
     )
     value_labels = labels[law.value_side]
     return Witness(
         assignment=assignment,
-        indices=tuple(case),
+        indices=indices,
         lhs=lhs,
         rhs=rhs,
         lhs_label=value_labels[lhs] if lhs is not None else "absent",
@@ -465,7 +403,7 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     reason = _missing_structure(ac, law.requires)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
-    ctx = law.prep(ac)
+    ctx = law.prep(law.context(ac))
     for case in law.cases(ctx):
         ok, lhs, rhs = law.check(ctx, case)
         if not ok:
@@ -476,8 +414,9 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
 def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
     """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
     law = LAW_TABLE[law_id]
-    ctx = law.prep(ac)
-    return law.check(ctx, witness.indices)
+    case = witness.indices[::-1] if law.reverse else witness.indices
+    ok, lhs, rhs = law.check(law.prep(law.context(ac)), case)
+    return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +722,8 @@ def search_counterexample(
     a fixed order; returns the first satisfying case or the number of cases
     examined.  A case where some referenced law is skipped is not counted.
     """
-    if max_size > 8:
-        raise SizeBoundExceeded("search is bounded to lattices of size <= 8")
+    if not 1 <= max_size <= 8:
+        raise SizeBoundExceeded("search is bounded to lattices of size 1 to 8")
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
     corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= max_size]
@@ -858,94 +797,58 @@ def _vector(rep: EquivalenceReport) -> str:
     return " ".join(f"{law}={holds}" for law, holds in rep.truth_vector())
 
 
-def _equivalence_suite(name, lattices, verify_fn):
+# The connections a suite visits for each ordered pair (P, Q).  These and the
+# failure functions below name what they call at call time, so a module
+# attribute rebound after import (as the benchmark's tracer does) is honoured.
+def _adjoint_connections(P, Q):
+    return enumerate_adjoint_connections(P, Q)
+
+
+def _left_connections(P, Q):
+    """Every left adjoint connection P -> Q, one per monotone map."""
+    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
+
+
+def _right_connections(P, Q):
+    """Every right adjoint connection P -> Q, one per monotone map."""
+    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
+
+
+def _inconsistent(rep: EquivalenceReport) -> tuple[str, ...]:
+    return () if rep.consistent else (_vector(rep),)
+
+
+def _violated(checks) -> tuple[str, ...]:
+    return tuple(f"{chk.name}: {chk.detail}" for chk in checks if not chk.ok)
+
+
+# suite -> (connections of each ordered pair, failure lines of one connection)
+_PER_CONNECTION_SUITES = {
+    "lm": (_adjoint_connections, lambda ac: _inconsistent(verify_lm_theorem(ac))),
+    "rm": (_adjoint_connections, lambda ac: _inconsistent(verify_rm_theorem(ac))),
+    "rm045": (_adjoint_connections, lambda ac: _inconsistent(verify_rm045_theorem(ac))),
+    "lm045": (_adjoint_connections, lambda ac: _inconsistent(verify_lm045_theorem(ac))),
+    "lf": (_left_connections, lambda ac: _inconsistent(verify_lf_theorem(ac))),
+    "rf": (_right_connections, lambda ac: _inconsistent(verify_rf_theorem(ac))),
+    "derivations": (_adjoint_connections, lambda ac: _violated(verify_derivations(ac))),
+    "modularity": (
+        _adjoint_connections, lambda ac: _violated(verify_modularity_refinements(ac)),
+    ),
+}
+
+
+def _per_connection_suite(name, lattices, connections, failures) -> SuiteResult:
     pairs = cases = disagreements = 0
     details = []
     for P in lattices:
         for Q in lattices:
             pairs += 1
-            for ac in enumerate_adjoint_connections(P, Q):
+            for ac in connections(P, Q):
                 cases += 1
-                rep = verify_fn(ac)
-                if not rep.consistent:
+                for failure in failures(ac):
                     disagreements += 1
-                    details.append(f"disagree {name} {_describe(ac)} {_vector(rep)}")
+                    details.append(f"disagree {name} {_describe(ac)} {failure}")
     return SuiteResult(name, len(lattices), pairs, cases, disagreements, tuple(details))
-
-
-def _checks_suite(name, lattices, check_fn):
-    pairs = cases = disagreements = 0
-    details = []
-    for P in lattices:
-        for Q in lattices:
-            pairs += 1
-            for ac in enumerate_adjoint_connections(P, Q):
-                cases += 1
-                for chk in check_fn(ac):
-                    if not chk.ok:
-                        disagreements += 1
-                        details.append(
-                            f"disagree {name} {_describe(ac)} {chk.name}: {chk.detail}"
-                        )
-    return SuiteResult(name, len(lattices), pairs, cases, disagreements, tuple(details))
-
-
-def suite_lm(lattices):
-    return _equivalence_suite("lm", lattices, verify_lm_theorem)
-
-
-def suite_rm(lattices):
-    return _equivalence_suite("rm", lattices, verify_rm_theorem)
-
-
-def suite_rm045(lattices):
-    return _equivalence_suite("rm045", lattices, verify_rm045_theorem)
-
-
-def suite_lm045(lattices):
-    return _equivalence_suite("lm045", lattices, verify_lm045_theorem)
-
-
-def suite_lf(lattices):
-    """LF theorem over every left adjoint connection (one per monotone map)."""
-    pairs = cases = disagreements = 0
-    details = []
-    for P in lattices:
-        for Q in lattices:
-            pairs += 1
-            for f in monotone_maps(P, Q):
-                cases += 1
-                ac = left_adjoint_connection(f)
-                rep = verify_lf_theorem(ac)
-                if not rep.consistent:
-                    disagreements += 1
-                    details.append(f"disagree lf {_describe(ac)} {_vector(rep)}")
-    return SuiteResult("lf", len(lattices), pairs, cases, disagreements, tuple(details))
-
-
-def suite_rf(lattices):
-    """RF theorem over every right adjoint connection (one per monotone map)."""
-    pairs = cases = disagreements = 0
-    details = []
-    for P in lattices:
-        for Q in lattices:
-            pairs += 1
-            for g in monotone_maps(Q, P):
-                cases += 1
-                ac = right_adjoint_connection(g)
-                rep = verify_rf_theorem(ac)
-                if not rep.consistent:
-                    disagreements += 1
-                    details.append(f"disagree rf {_describe(ac)} {_vector(rep)}")
-    return SuiteResult("rf", len(lattices), pairs, cases, disagreements, tuple(details))
-
-
-def suite_derivations(lattices):
-    return _checks_suite("derivations", lattices, verify_derivations)
-
-
-def suite_modularity(lattices):
-    return _checks_suite("modularity", lattices, verify_modularity_refinements)
 
 
 def suite_composition(lattices):
@@ -977,22 +880,12 @@ def suite_composition(lattices):
     return SuiteResult("composition", len(small), triples, cases, disagreements, tuple(details))
 
 
-SUITES = {
-    "lm": suite_lm,
-    "rm": suite_rm,
-    "rm045": suite_rm045,
-    "lm045": suite_lm045,
-    "lf": suite_lf,
-    "rf": suite_rf,
-    "derivations": suite_derivations,
-    "modularity": suite_modularity,
-    "composition": suite_composition,
-}
-
-
 def run_suite(name: str, lattices: Sequence[FiniteLattice]) -> SuiteResult:
+    lattices = list(lattices)
+    if name == "composition":
+        return suite_composition(lattices)
     try:
-        fn = SUITES[name]
+        connections, failures = _PER_CONNECTION_SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}") from None
-    return fn(list(lattices))
+    return _per_connection_suite(name, lattices, connections, failures)

@@ -212,4 +212,10 @@ def parse_text(text: str, filename: str = "<string>") -> Document:
 
 def parse_file(path) -> Document:
     path = Path(path)
-    return parse_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OrdbenchError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise OrdbenchError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return parse_text(text, str(path))

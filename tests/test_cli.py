@@ -29,6 +29,30 @@ def test_check_parse_error(capsys):
     assert "cycle" in err
 
 
+def test_missing_file_is_an_input_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "laws", str(tmp_path / "missing.conn"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.conn: cannot read" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "cannot read" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.poset"
+    path.write_bytes(b"poset C2 \xe9 b\n")
+    for verb in ("check", "adjoints", "laws", "quantale"):
+        code, out, err = invoke(capsys, verb, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_adjoints_identity(capsys):
     code, out, _ = invoke(capsys, "adjoints", str(DATA / "idC3.conn"))
     assert code == 0
@@ -136,6 +160,13 @@ def test_search_not_found(capsys):
     assert code == 0
     assert out.startswith("not found (")
     assert out.rstrip().endswith("cases)")
+
+
+def test_search_rejects_max_size_below_one(capsys):
+    for size in ("0", "-1"):
+        code, out, err = invoke(capsys, "search", "--predicate", "LM0", "--max-size", size)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_search_bad_predicate(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ordbench import (
@@ -7,15 +9,21 @@ from ordbench import (
     MonotoneMap,
     SizeBoundExceeded,
     build_poset,
+    catalog,
     catalog_named,
     connection_of_monotone_left,
     enumerate_adjoint_connections,
     eval_law,
+    find_left_adjoint,
+    find_right_adjoint,
+    left_adjoint_connection,
     make_adjoint,
     monotone_maps,
+    opposite,
     parse_predicate,
     recheck_witness,
     restrict_left,
+    right_adjoint_connection,
     run_suite,
     search_counterexample,
     verify_composition_stability,
@@ -131,6 +139,59 @@ def test_witnesses_are_reproducible():
                         assert not ok
                         assert lhs == report.witness.lhs and rhs == report.witness.rhs
     assert seen > 0
+
+
+def _one_sided_connections(P, Q):
+    """Every left connection P -> Q, then every right connection P -> Q."""
+    for f in monotone_maps(P, Q):
+        yield left_adjoint_connection(f)
+    for g in monotone_maps(Q, P):
+        yield right_adjoint_connection(g)
+
+
+def test_law_reports_are_pinned():
+    """Every law's report line on a fixed corpus, frozen as one sha256.
+
+    The corpus covers bounded lattices and posets lacking a top, a bottom,
+    meets or joins, and both one-sided and two-sided connections, so the
+    digest pins verdicts, witness strings and skip reasons alike.
+    """
+    corpus = [L for L in catalog() if L.size <= 5] + [
+        build_poset("A2", ["x", "y"], []),
+        build_poset("V3", ["o", "x", "y"], [("o", "x"), ("o", "y")]),
+        build_poset("L3", ["x", "y", "t"], [("x", "t"), ("y", "t")]),
+    ]
+    digest = hashlib.sha256()
+    connections = lines = 0
+    for P in corpus:
+        for Q in corpus:
+            for ac in _one_sided_connections(P, Q):
+                connections += 1
+                left = ac.left.values if ac.left else None
+                right = ac.right.values if ac.right else None
+                for law_id in LAW_IDS:
+                    lines += 1
+                    line = eval_law(law_id, ac).line()
+                    digest.update(f"{P.name} {Q.name} {left} {right} {line}\n".encode())
+    assert (connections, lines) == (5542, 99756)
+    assert digest.hexdigest() == "8f9fcdb12fc9ace9bf28d8d5f3b52b75b82fdf140fffa39a331203462de7d8af"
+
+
+def test_right_laws_are_left_laws_on_the_opposite_connection():
+    """RMk/RFk on ac agree with LMk/LFk on the opposite built from dual posets."""
+    corpus = [L for L in catalog() if L.size <= 4]
+    pairs = [(f"R{law[1:]}", f"L{law[1:]}") for law in LAW_IDS if law.startswith("R")]
+    checks = 0
+    for P in corpus:
+        for Q in corpus:
+            for ac in _one_sided_connections(P, Q):
+                conn = opposite(ac.conn)
+                op = AdjointConnection(conn, find_left_adjoint(conn), find_right_adjoint(conn))
+                for right_law, left_law in pairs:
+                    r, l = eval_law(right_law, ac), eval_law(left_law, op)
+                    assert (r.holds, r.skipped is None) == (l.holds, l.skipped is None)
+                    checks += 1
+    assert checks == 8370
 
 
 def test_lf2_matches_lm1_of_actual_restriction(c3, b2, mul_by_m):
@@ -312,6 +373,9 @@ def test_search_theorem_backed_not_found():
 def test_search_size_bound():
     with pytest.raises(SizeBoundExceeded):
         search_counterexample("LM0", 9)
+    for size in (0, -1):
+        with pytest.raises(SizeBoundExceeded):
+            search_counterexample("LM0", size)
 
 
 def test_search_modular_only_not_found():
