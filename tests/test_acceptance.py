@@ -9,6 +9,7 @@ test_laws.test_lf_side_modularity_refinement_admits_counterexample and
 test_laws.test_one_sided_modularity_refinements_admit_counterexamples.
 """
 
+import hashlib
 import time
 
 from ordbench import (
@@ -30,6 +31,9 @@ from ordbench.quantale import build_quantale
 
 SMALL = ("C1", "C2", "C3", "C4", "B2")
 CORPUS = ("C2", "C3", "C4", "B2", "B3", "M3", "N5", "Div12")
+# sha256 of the whole `verify --suite all` report, the same digest the
+# benchmark checks on every verify-catalog run.
+VERIFY_ALL_SHA256 = "d2e4452809592b3a5b771066d45216b5e07230e34793a01025ef9a2d987cce90"
 
 
 def report(number, name, ok, detail=""):
@@ -230,5 +234,11 @@ def test_criterion_11_verify_all_deterministic(capsys):
     out1 = capsys.readouterr().out
     code2 = cli_run(["verify", "--suite", "all"])
     out2 = capsys.readouterr().out
-    ok = out1 == out2 and code1 == code2 and out1.count("suite ") == 9
-    assert report(11, "verify --suite all byte-identical", ok, f"exit={code1}")
+    digest = hashlib.sha256(out1.encode()).hexdigest()
+    ok = (
+        out1 == out2
+        and code1 == code2
+        and out1.count("suite ") == 9
+        and digest == VERIFY_ALL_SHA256
+    )
+    assert report(11, "verify --suite all byte-identical", ok, f"exit={code1} sha256={digest[:8]}")

@@ -1,5 +1,10 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from ordbench import LAW_IDS
 from ordbench.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -192,3 +197,36 @@ def test_unknown_verb(capsys):
 def test_missing_arguments(capsys):
     code, _, _ = invoke(capsys, "search", "--predicate", "LM0")
     assert code == 2
+
+
+FUZZ_PATHS = [str(p) for p in sorted(DATA.iterdir())] + [str(DATA / "missing.conn"), str(DATA)]
+paths = st.sampled_from(FUZZ_PATHS)
+law_tokens = st.one_of(st.sampled_from(LAW_IDS), st.text(alphabet="LMRF0123x", max_size=4))
+file_argv = st.one_of(
+    st.tuples(st.sampled_from(["check", "adjoints"]), paths).map(list),
+    st.tuples(paths, st.lists(law_tokens, max_size=3)).map(
+        lambda t: ["laws", t[0]] + [arg for law in t[1] for arg in ("--law", law)]
+    ),
+    st.tuples(paths, st.booleans()).map(
+        lambda t: ["quantale", t[0]] + (["--principal"] if t[1] else [])
+    ),
+)
+bounded_argv = st.one_of(
+    # both reject their number before doing any work: never draw a large --zn
+    st.integers(max_value=1, min_value=-3).map(lambda n: ["quantale", "--zn", str(n)]),
+    st.tuples(
+        st.sampled_from(["LM0", "LM0 & !LF0", "RM0 |", "ZZ9"]),
+        st.one_of(st.integers(max_value=0, min_value=-3), st.integers(min_value=9, max_value=99)),
+    ).map(lambda t: ["search", "--predicate", t[0], "--max-size", str(t[1])]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(file_argv, bounded_argv))
+def test_random_argv_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue()

@@ -7,6 +7,8 @@ from ordbench import (
     Connection,
     MonotoneMap,
     SourceTargetMismatch,
+    build_poset,
+    catalog,
     catalog_named,
     compose,
     compose_adjoint,
@@ -25,6 +27,7 @@ from ordbench import (
     opposite,
     restrict_left,
 )
+from ordbench.posetgen import generated_lattices
 
 
 def naive_is_connection(P, Q, rel):
@@ -228,34 +231,104 @@ def test_enumerate_adjoint_connections_counts(c2):
     assert tables == sorted(tables)  # deterministic lexicographic order
 
 
-def test_adjoint_uniqueness_by_exhaustive_map_search(c2, c3, b2):
-    # at most one map (monotone or not) passes the left/right biconditional
-    for P, Q in ((c2, c3), (c3, c2), (c3, b2)):
-        for conn in enumerate_connections(P, Q):
-            left_witnesses = [
-                vals
-                for vals in itertools.product(range(Q.size), repeat=P.size)
-                if all(
-                    Q.leq[vals[x]][y] == conn.rel[x][y]
-                    for x in range(P.size)
-                    for y in range(Q.size)
-                )
+def small_posets():
+    """Every poset of size <= 3 the oracles walk: catalog, generated and bare."""
+    bare = (
+        build_poset("A2", ("a", "b"), []),
+        build_poset("V3", ("bot", "a", "b"), [("bot", "a"), ("bot", "b")]),
+        build_poset("L3", ("a", "b", "top"), [("a", "top"), ("b", "top")]),
+        build_poset("E0", (), []),
+    )
+    small = [L for L in catalog() if L.size <= 3]
+    return small + list(generated_lattices(3)) + list(bare)
+
+
+def outcome(build):
+    """What build() gives: ("ok", value) or ("raises", exception type, message)."""
+    try:
+        return ("ok", build())
+    except Exception as exc:  # the oracles compare the exception as well
+        return ("raises", type(exc), str(exc))
+
+
+def values_or_none(m):
+    return None if m is None else m.values
+
+
+def test_adjoint_uniqueness_by_exhaustive_map_search():
+    # Index every map (monotone or not) by the relation its biconditional
+    # defines; at most one map per relation, and find_*_adjoint must return
+    # exactly that map, or raise what building it as a MonotoneMap raises.
+    posets = small_posets()
+    walked = 0
+    for P in posets:
+        for Q in posets:
+            left_of, right_of = {}, {}
+            for vals in itertools.product(range(Q.size), repeat=P.size):
+                rel = tuple(tuple(Q.leq[vals[x]][y] for y in range(Q.size)) for x in range(P.size))
+                left_of.setdefault(rel, []).append(vals)
+            for vals in itertools.product(range(P.size), repeat=Q.size):
+                rel = tuple(tuple(P.leq[x][vals[y]] for y in range(Q.size)) for x in range(P.size))
+                right_of.setdefault(rel, []).append(vals)
+            for rel in all_relations(P, Q):
+                walked += 1
+                conn = Connection(P, Q, rel)
+                lefts, rights = left_of.get(rel, []), right_of.get(rel, [])
+                assert len(lefts) <= 1 and len(rights) <= 1
+                expected = outcome(lambda: MonotoneMap(P, Q, lefts[0]).values if lefts else None)
+                assert outcome(lambda: values_or_none(find_left_adjoint(conn))) == expected
+                expected = outcome(lambda: MonotoneMap(Q, P, rights[0]).values if rights else None)
+                assert outcome(lambda: values_or_none(find_right_adjoint(conn))) == expected
+    assert walked == 15871
+
+
+def raw_map(source, target, values):
+    """A MonotoneMap built without its monotonicity check, to feed any table."""
+    m = object.__new__(MonotoneMap)
+    for attr, value in (("source", source), ("target", target), ("values", values)):
+        object.__setattr__(m, attr, value)
+    return m
+
+
+def oracle_adjoint_connection(conn, left, right):
+    """AdjointConnection's checks read cell by cell: (error type, message) or None."""
+    P, Q, rel = conn.source, conn.target, conn.rel
+    if left is None and right is None:
+        return (ValueError, "an adjoint connection needs at least one adjoint map")
+    if left is not None and any(
+        Q.leq[left.values[x]][y] != rel[x][y] for x in range(P.size) for y in range(Q.size)
+    ):
+        return (ValueError, "left map fails the adjunction biconditional")
+    if right is not None and any(
+        P.leq[x][right.values[y]] != rel[x][y] for x in range(P.size) for y in range(Q.size)
+    ):
+        return (ValueError, "right map fails the adjunction biconditional")
+    return None
+
+
+def test_adjoint_connection_matches_cell_by_cell_oracle():
+    posets = [L for L in small_posets() if L.size <= 2]
+    built = 0
+    for P in posets:
+        for Q in posets:
+            lefts = [None] + [
+                raw_map(P, Q, v) for v in itertools.product(range(Q.size), repeat=P.size)
             ]
-            assert len(left_witnesses) <= 1
-            found = find_left_adjoint(conn)
-            assert (found.values,) == tuple(left_witnesses) if left_witnesses else found is None
-            right_witnesses = [
-                vals
-                for vals in itertools.product(range(P.size), repeat=Q.size)
-                if all(
-                    P.leq[x][vals[y]] == conn.rel[x][y]
-                    for x in range(P.size)
-                    for y in range(Q.size)
-                )
+            rights = [None] + [
+                raw_map(Q, P, v) for v in itertools.product(range(P.size), repeat=Q.size)
             ]
-            assert len(right_witnesses) <= 1
-            found_r = find_right_adjoint(conn)
-            assert (found_r.values,) == tuple(right_witnesses) if right_witnesses else found_r is None
+            for rel in all_relations(P, Q):
+                conn = Connection(P, Q, rel)
+                for left in lefts:
+                    for right in rights:
+                        built += 1
+                        got = outcome(lambda: AdjointConnection(conn, left, right))
+                        expected = oracle_adjoint_connection(conn, left, right)
+                        if expected is None:
+                            assert got[0] == "ok"
+                        else:
+                            assert got[0] == "raises" and got[1:] == expected
+    assert built == 6844
 
 
 def small_catalog_pairs():

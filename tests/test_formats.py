@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ordbench import ParseError, parse_file, parse_text
+from ordbench import OrdbenchError, ParseError, parse_file, parse_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,3 +143,23 @@ def test_unknown_poset_reference():
     with pytest.raises(ParseError) as exc:
         parse_text("conn c P P\n")
     assert "unknown poset" in str(exc.value)
+
+
+DIRECTIVE_TOKENS = (
+    "poset", "elem", "le", "map", "send", "conn", "rel", "quantale", "mul", "over", "#",
+)
+LABEL_TOKENS = ("a", "b", "c", "0", "1", "P", "Q")
+directive_lines = st.lists(
+    st.lists(st.sampled_from(DIRECTIVE_TOKENS + LABEL_TOKENS), min_size=1, max_size=5),
+    max_size=14,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(directive_lines)
+def test_random_directive_soup_raises_only_ordbench_errors(lines):
+    text = "\n".join(" ".join(tokens) for tokens in lines)
+    try:
+        parse_text(text)
+    except OrdbenchError:
+        pass

@@ -17,6 +17,7 @@ from ordbench import (
     iter_monotone_maps,
     up_set,
 )
+from ordbench.posetgen import generated_lattices
 
 
 def oracle_glb(L, a, b):
@@ -130,8 +131,30 @@ def test_divisor_lattice_meets_joins_are_number_theoretic():
             assert divs[L.meet[i][j]] == a * b // math.gcd(a, b)  # intersection
 
 
+def oracle_bottom(L):
+    return next((a for a in range(L.size) if all(L.leq[a][x] for x in range(L.size))), None)
+
+
+def oracle_top(L):
+    return next((a for a in range(L.size) if all(L.leq[x][a] for x in range(L.size))), None)
+
+
 def test_meet_join_tables_match_oracle_on_catalog():
-    for L in catalog():
+    bare = [
+        build_poset("A2", ("a", "b"), []),
+        build_poset("V3", ("bot", "a", "b"), [("bot", "a"), ("bot", "b")]),
+        build_poset("L3", ("a", "b", "top"), [("a", "top"), ("b", "top")]),
+        build_poset("W5", ("a", "b", "c", "d", "e"), [("a", "b"), ("c", "b"), ("c", "d"), ("e", "d")]),
+        build_poset("E0", (), []),
+    ]
+    bases = catalog() + list(generated_lattices(6)) + bare
+    corpus = []
+    for L in bases + [dual(L) for L in bases]:
+        corpus.append(L)
+        corpus.extend(down_set(L, a).view for a in range(L.size))
+        corpus.extend(up_set(L, a).view for a in range(L.size))
+    for L in corpus:
+        assert (L.bottom, L.top) == (oracle_bottom(L), oracle_top(L))
         for a in range(L.size):
             for b in range(L.size):
                 assert L.meet[a][b] == oracle_glb(L, a, b)
