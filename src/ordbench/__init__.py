@@ -12,6 +12,9 @@ from .errors import (
     DuplicateLabel,
     IndexOutOfRange,
     InvalidModulus,
+    MissingAdjoint,
+    NotAdjoint,
+    NotAnOrder,
     NotAssociative,
     NotBounded,
     NotCommutative,

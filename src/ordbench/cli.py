@@ -29,6 +29,14 @@ def _render_map(m) -> str:
     )
 
 
+def _blocks(doc, kind: str, path) -> list[str]:
+    """Names of the file's blocks of one kind, in file order; none is an input error."""
+    names = [name for k, name in doc.order if k == kind]
+    if not names:
+        raise OrdbenchError(f"{path}: no {kind} block")
+    return names
+
+
 def cmd_check(args) -> int:
     doc = parse_file(args.file)
     for kind, name in doc.order:
@@ -57,9 +65,7 @@ def cmd_check(args) -> int:
 
 def cmd_adjoints(args) -> int:
     doc = parse_file(args.file)
-    for kind, name in doc.order:
-        if kind != "conn":
-            continue
+    for name in _blocks(doc, "conn", args.file):
         c = doc.connections[name]
         print(f"conn {name}: {c.source.name} -> {c.target.name}")
         left = find_left_adjoint(c)
@@ -77,9 +83,7 @@ def cmd_laws(args) -> int:
             print(f"error: unknown law {law_id!r}", file=sys.stderr)
             return 2
     failed = False
-    for kind, name in doc.order:
-        if kind != "conn":
-            continue
+    for name in _blocks(doc, "conn", args.file):
         c = doc.connections[name]
         print(f"conn {name}: {c.source.name} -> {c.target.name}")
         left = find_left_adjoint(c)
@@ -113,14 +117,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quantale(args) -> int:
-    quantales = []
     if args.zn is not None:
-        quantales.append((f"Zn{args.zn}", zn_ideal_quantale(args.zn)))
+        quantales = [(f"Zn{args.zn}", zn_ideal_quantale(args.zn))]
     else:
         doc = parse_file(args.file)
-        for kind, name in doc.order:
-            if kind == "quantale":
-                quantales.append((name, doc.quantales[name]))
+        quantales = [(name, doc.quantales[name]) for name in _blocks(doc, "quantale", args.file)]
     for name, q in quantales:
         L = q.lattice
         unit = L.labels[q.unit] if q.unit is not None else "none"

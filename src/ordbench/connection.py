@@ -6,6 +6,12 @@ adjoint map f (f(x) <= y iff x R y), a right adjoint map g (x R y iff
 x <= g(y)), both, or neither; when both exist they form a Galois
 connection.  Adjoints are unique, so a connection is faithfully described
 by either map.
+
+The defining biconditionals say that row x of R is the principal up-set of
+f(x) and column y of R is the principal down-set of g(y).  A left adjoint
+therefore exists exactly when every row of R is a row of Q's order table,
+and a right adjoint exactly when every column of R is a column of P's; each
+adjoint value is one lookup of a row (column), with nothing left to verify.
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .errors import DimensionMismatch, SizeBoundExceeded, SourceTargetMismatch
+from .errors import (
+    DimensionMismatch,
+    MissingAdjoint,
+    NotAdjoint,
+    SizeBoundExceeded,
+    SourceTargetMismatch,
+)
 from .lattice import (
     FiniteLattice,
     MonotoneMap,
@@ -27,7 +39,11 @@ from .lattice import (
 
 @dataclass(frozen=True, repr=False)
 class Connection:
-    """A weakening-closed relation between two posets, as a boolean table."""
+    """A weakening-closed relation between two posets, as a boolean table.
+
+    ``rel`` is a tuple of ``source.size`` row tuples of ``target.size`` bools;
+    the adjoint finders look rows and columns up as tuples.
+    """
 
     source: FiniteLattice
     target: FiniteLattice
@@ -61,25 +77,20 @@ class AdjointConnection:
 
     def __post_init__(self):
         if self.left is None and self.right is None:
-            raise ValueError("an adjoint connection needs at least one adjoint map")
+            raise MissingAdjoint("an adjoint connection needs at least one adjoint map")
         rel = self.conn.rel
         P, Q = self.conn.source, self.conn.target
         if self.left is not None:
             if self.left.source != P or self.left.target != Q:
                 raise SourceTargetMismatch("left map does not match the connection's posets")
-            for x in range(P.size):
-                fx = self.left.values[x]
-                for y in range(Q.size):
-                    if Q.leq[fx][y] != rel[x][y]:
-                        raise ValueError("left map fails the adjunction biconditional")
+            if any(Q.leq[fx] != row for fx, row in zip(self.left.values, rel)):
+                raise NotAdjoint("left map fails the adjunction biconditional")
         if self.right is not None:
             if self.right.source != Q or self.right.target != P:
                 raise SourceTargetMismatch("right map does not match the connection's posets")
-            for y in range(Q.size):
-                gy = self.right.values[y]
-                for x in range(P.size):
-                    if P.leq[x][gy] != rel[x][y]:
-                        raise ValueError("right map fails the adjunction biconditional")
+            cols = _transpose(rel, Q.size)
+            if any(P.geq[gy] != col for gy, col in zip(self.right.values, cols)):
+                raise NotAdjoint("right map fails the adjunction biconditional")
 
     @property
     def source(self) -> FiniteLattice:
@@ -130,68 +141,50 @@ def is_connection(source, target, rel) -> bool:
     return find_weakening_violation(source, target, rel) is None
 
 
+def _transpose(rows, width: int) -> tuple[tuple, ...]:
+    """The columns of a table whose rows have ``width`` entries, also when it has no rows."""
+    return tuple(zip(*rows)) if rows else ((),) * width
+
+
 def opposite(c: Connection) -> Connection:
     """The transposed relation, as a connection between the dual posets."""
-    transposed = tuple(
-        tuple(c.rel[x][y] for x in range(c.source.size)) for y in range(c.target.size)
-    )
-    return Connection(dual(c.target), dual(c.source), transposed)
+    return Connection(dual(c.target), dual(c.source), _transpose(c.rel, c.target.size))
 
 
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:
     """The unique map f with f(x) <= y iff x R y, or None.
 
-    f(x) must be the least y related to x; afterwards the biconditional is
-    re-verified globally rather than trusting the pointwise minima.
+    The biconditional says row x of R is the up-set of f(x), so f(x) is the
+    element of Q whose order row equals it; None if some row is no element's.
     """
-    P, Q, rel = c.source, c.target, c.rel
-    leq_t = Q.leq
-    values = []
-    for x in range(P.size):
-        ys = [y for y in range(Q.size) if rel[x][y]]
-        least = next((y for y in ys if all(leq_t[y][z] for z in ys)), None)
-        if least is None:
-            return None
-        values.append(least)
-    for x in range(P.size):
-        fx = values[x]
-        for y in range(Q.size):
-            if leq_t[fx][y] != rel[x][y]:
-                return None
-    return MonotoneMap(P, Q, tuple(values))
+    by_row = {row: y for y, row in enumerate(c.target.leq)}
+    values = tuple(by_row.get(row) for row in c.rel)
+    if None in values:
+        return None
+    return MonotoneMap(c.source, c.target, values)
 
 
 def find_right_adjoint(c: Connection) -> Optional[MonotoneMap]:
-    """The unique map g with x R y iff x <= g(y), or None."""
-    P, Q, rel = c.source, c.target, c.rel
-    leq_s = P.leq
-    values = []
-    for y in range(Q.size):
-        xs = [x for x in range(P.size) if rel[x][y]]
-        greatest = next((x for x in xs if all(leq_s[z][x] for z in xs)), None)
-        if greatest is None:
-            return None
-        values.append(greatest)
-    for y in range(Q.size):
-        gy = values[y]
-        for x in range(P.size):
-            if leq_s[x][gy] != rel[x][y]:
-                return None
-    return MonotoneMap(Q, P, tuple(values))
+    """The unique map g with x R y iff x <= g(y), or None.
+
+    Column y of R must be the down-set of g(y): a lookup among P's columns.
+    """
+    by_col = {col: x for x, col in enumerate(c.source.geq)}
+    values = tuple(by_col.get(col) for col in _transpose(c.rel, c.target.size))
+    if None in values:
+        return None
+    return MonotoneMap(c.target, c.source, values)
 
 
 def connection_of_monotone_left(f: MonotoneMap) -> Connection:
     """The connection x R y iff f(x) <= y; find_left_adjoint recovers f."""
-    leq_t = f.target.leq
-    rel = tuple(tuple(leq_t[f.values[x]][y] for y in range(f.target.size)) for x in range(f.source.size))
-    return Connection(f.source, f.target, rel)
+    return Connection(f.source, f.target, tuple(f.target.leq[v] for v in f.values))
 
 
 def connection_of_monotone_right(g: MonotoneMap) -> Connection:
     """The connection x R y iff x <= g(y); find_right_adjoint recovers g."""
-    leq_s = g.target.leq
-    rel = tuple(tuple(leq_s[x][g.values[y]] for y in range(g.source.size)) for x in range(g.target.size))
-    return Connection(g.target, g.source, rel)
+    cols = tuple(g.target.geq[v] for v in g.values)
+    return Connection(g.target, g.source, _transpose(cols, g.source.size))
 
 
 def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
@@ -234,7 +227,7 @@ def compose(r: Connection, s: Connection) -> Connection:
 def compose_adjoint(r: AdjointConnection, s: AdjointConnection) -> AdjointConnection:
     """Composite of two adjoint connections; adjoints compose map-wise."""
     if not (r.is_adjoint and s.is_adjoint):
-        raise ValueError("compose_adjoint needs fully adjoint connections")
+        raise MissingAdjoint("compose_adjoint needs fully adjoint connections")
     conn = compose(r.conn, s.conn)
     return AdjointConnection(conn, compose_maps(r.left, s.left), compose_maps(s.right, r.right))
 
@@ -246,7 +239,7 @@ def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
     right adjoint of the restriction is attached when it exists.
     """
     if ac.left is None:
-        raise ValueError("restrict_left needs a left adjoint")
+        raise MissingAdjoint("restrict_left needs a left adjoint")
     P, Q = ac.source, ac.target
     P.check_element(anchor)
     dn_p = down_set(P, anchor)

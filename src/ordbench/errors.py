@@ -37,6 +37,18 @@ class NotBounded(OrdbenchError):
     pass
 
 
+class NotAnOrder(OrdbenchError, ValueError):
+    """An order table is not reflexive or not transitive."""
+
+
+class NotAdjoint(OrdbenchError, ValueError):
+    """A map fails the adjunction biconditional against its connection."""
+
+
+class MissingAdjoint(OrdbenchError, ValueError):
+    """An operation needs an adjoint map that the connection lacks."""
+
+
 class NotCommutative(OrdbenchError):
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -5,6 +5,12 @@ Elements are dense integer indices 0..size-1; display names live in
 ``join`` tables.  Meet/join tables are partial (``None`` where no bound
 exists), so genuine posets are supported, not only lattices.  Every value is
 immutable after construction and can be shared freely across threads.
+
+By antisymmetry an element is determined by its down-set, and the down-set
+of a meet a ∧ b is the intersection of the down-sets of a and b.  So the
+tables are filled by lookup, not by search: with each down-set held as an
+int mask, meet[a][b] is the element whose mask is ``down[a] & down[b]``, or
+None if no element has that mask; joins, top and bottom likewise.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     IndexOutOfRange,
+    NotAnOrder,
     NotMonotone,
     SourceTargetMismatch,
     UnknownLabel,
@@ -150,7 +157,7 @@ def from_leq(name: str, labels: Sequence[str], leq) -> FiniteLattice:
         seen.add(lab)
     for a in range(n):
         if not table[a][a]:
-            raise ValueError(f"{name}: leq not reflexive at {labels[a]!r}")
+            raise NotAnOrder(f"{name}: leq not reflexive at {labels[a]!r}")
         for b in range(n):
             if a != b and table[a][b] and table[b][a]:
                 raise CycleDetected(
@@ -159,25 +166,28 @@ def from_leq(name: str, labels: Sequence[str], leq) -> FiniteLattice:
             if table[a][b]:
                 for c in range(n):
                     if table[b][c] and not table[a][c]:
-                        raise ValueError(f"{name}: leq not transitive")
+                        raise NotAnOrder(f"{name}: leq not transitive")
     return _finalize(name, labels, table)
+
+
+def _bounds(down: Sequence[int], up: Sequence[int]):
+    """``bottom, top, meet, join``, looked up by down-set and up-set masks.
+
+    Bit c of ``down[a]`` is set iff c <= a, and bit c of ``up[a]`` iff a <= c.
+    """
+    full = (1 << len(down)) - 1
+    by_down = {d: a for a, d in enumerate(down)}
+    by_up = {u: a for a, u in enumerate(up)}
+    meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
+    join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
+    return by_up.get(full), by_down.get(full), meet, join
 
 
 def _finalize(name, labels, leq) -> FiniteLattice:
     n = len(labels)
-    bottom = next((a for a in range(n) if all(leq[a][x] for x in range(n))), None)
-    top = next((a for a in range(n) if all(leq[x][a] for x in range(n))), None)
-
-    def bound(a, b, under):
-        if under:
-            cands = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            return next((c for c in cands if all(leq[d][c] for d in cands)), None)
-        cands = [c for c in range(n) if leq[a][c] and leq[b][c]]
-        return next((c for c in cands if all(leq[c][d] for d in cands)), None)
-
-    meet = tuple(tuple(bound(a, b, True) for b in range(n)) for a in range(n))
-    join = tuple(tuple(bound(a, b, False) for b in range(n)) for a in range(n))
-
+    down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
+    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    bottom, top, meet, join = _bounds(down, up)
     is_lattice = n > 0 and all(
         meet[a][b] is not None and join[a][b] is not None for a in range(n) for b in range(n)
     )
@@ -248,8 +258,7 @@ def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, st
 def dual(L: FiniteLattice) -> FiniteLattice:
     """The opposite poset: order reversed, bottom/top and meet/join swapped."""
     name = L.name[:-3] if L.name.endswith("^op") else L.name + "^op"
-    transposed = tuple(tuple(L.leq[j][i] for j in range(L.size)) for i in range(L.size))
-    return _finalize(name, L.labels, transposed)
+    return _finalize(name, L.labels, L.geq)
 
 
 def down_set(L: FiniteLattice, a: int) -> ElementView:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import SizeBoundExceeded
-from .lattice import FiniteLattice, from_leq
+from .lattice import FiniteLattice, _bounds, from_leq
 
 MAX_GENERATED_SIZE = 6
 
@@ -39,25 +39,11 @@ def _ideals(downs: list[int], k: int) -> list[int]:
 
 def _is_bounded_lattice(downs: list[int]) -> bool:
     k = len(downs)
-    full = (1 << k) - 1
-    if not any(all(downs[j] >> i & 1 for j in range(k)) for i in range(k)):
-        return False  # no bottom
-    if not any(d == full for d in downs):
-        return False  # no top
-    down_set = set(downs)
-    ups = [0] * k
-    for j in range(k):
-        for i in range(k):
-            if downs[j] >> i & 1:
-                ups[i] |= 1 << j
-    up_set = set(ups)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if downs[a] & downs[b] not in down_set:
-                return False
-            if ups[a] & ups[b] not in up_set:
-                return False
-    return True
+    if (1 << k) - 1 not in downs:
+        return False  # no top: most grown posets stop here, before any table
+    ups = [sum(1 << j for j in range(k) if downs[j] >> i & 1) for i in range(k)]
+    bottom, _, meet, join = _bounds(downs, ups)
+    return bottom is not None and all(None not in row for row in meet + join)
 
 
 def _canonical_code(downs: list[int]) -> int:

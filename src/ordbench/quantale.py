@@ -148,8 +148,7 @@ def element_connection(q: Quantale, e: int) -> AdjointConnection:
     n = L.size
     left_vals = tuple(q.mult[b][e] for b in range(n))
     right_vals = tuple(residual(q, a, e) for a in range(n))
-    rel = tuple(tuple(L.leq[left_vals[x]][y] for y in range(n)) for x in range(n))
-    conn = Connection(L, L, rel)
+    conn = Connection(L, L, tuple(L.leq[v] for v in left_vals))
     return AdjointConnection(conn, MonotoneMap(L, L, left_vals), MonotoneMap(L, L, right_vals))
 
 

@@ -58,6 +58,21 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_adjoints_without_conn_block_is_an_input_error(capsys):
+    code, out, err = invoke(capsys, "adjoints", str(DATA / "frame3.q"))
+    assert (code, out, err) == (2, "", f"error: {DATA / 'frame3.q'}: no conn block\n")
+
+
+def test_laws_without_conn_block_is_an_input_error(capsys):
+    code, out, err = invoke(capsys, "laws", str(DATA / "frame3.q"))
+    assert (code, out, err) == (2, "", f"error: {DATA / 'frame3.q'}: no conn block\n")
+
+
+def test_quantale_without_quantale_block_is_an_input_error(capsys):
+    code, out, err = invoke(capsys, "quantale", str(DATA / "idC3.conn"), "--principal")
+    assert (code, out, err) == (2, "", f"error: {DATA / 'idC3.conn'}: no quantale block\n")
+
+
 def test_adjoints_identity(capsys):
     code, out, _ = invoke(capsys, "adjoints", str(DATA / "idC3.conn"))
     assert code == 0

@@ -5,7 +5,10 @@ import pytest
 from ordbench import (
     AdjointConnection,
     Connection,
+    MissingAdjoint,
     MonotoneMap,
+    NotAdjoint,
+    OrdbenchError,
     SourceTargetMismatch,
     build_poset,
     catalog,
@@ -165,6 +168,17 @@ def test_adjoint_connection_verifies_chain(c2):
         AdjointConnection(identity_connection(c2), ident, const_bot)
 
 
+def test_adjoint_errors_are_typed(c2):
+    ident = MonotoneMap(c2, c2, (0, 1))
+    half = AdjointConnection(identity_connection(c2), ident, None)
+    with pytest.raises(MissingAdjoint, match="fully adjoint"):
+        compose_adjoint(half, half)
+    with pytest.raises(MissingAdjoint, match="needs a left adjoint"):
+        restrict_left(AdjointConnection(identity_connection(c2), None, ident), 0)
+    for cls in (MissingAdjoint, NotAdjoint):
+        assert issubclass(cls, OrdbenchError) and issubclass(cls, ValueError)
+
+
 def test_compose_unit_laws(c3):
     ident = identity_connection(c3)
     assert compose(ident, ident) == ident
@@ -294,15 +308,15 @@ def oracle_adjoint_connection(conn, left, right):
     """AdjointConnection's checks read cell by cell: (error type, message) or None."""
     P, Q, rel = conn.source, conn.target, conn.rel
     if left is None and right is None:
-        return (ValueError, "an adjoint connection needs at least one adjoint map")
+        return (MissingAdjoint, "an adjoint connection needs at least one adjoint map")
     if left is not None and any(
         Q.leq[left.values[x]][y] != rel[x][y] for x in range(P.size) for y in range(Q.size)
     ):
-        return (ValueError, "left map fails the adjunction biconditional")
+        return (NotAdjoint, "left map fails the adjunction biconditional")
     if right is not None and any(
         P.leq[x][right.values[y]] != rel[x][y] for x in range(P.size) for y in range(Q.size)
     ):
-        return (ValueError, "right map fails the adjunction biconditional")
+        return (NotAdjoint, "right map fails the adjunction biconditional")
     return None
 
 

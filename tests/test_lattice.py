@@ -6,7 +6,9 @@ from ordbench import (
     DuplicateLabel,
     IndexOutOfRange,
     MonotoneMap,
+    NotAnOrder,
     NotMonotone,
+    OrdbenchError,
     UnknownLabel,
     build_poset,
     catalog,
@@ -14,6 +16,7 @@ from ordbench import (
     divisor_lattice,
     down_set,
     dual,
+    from_leq,
     iter_monotone_maps,
     up_set,
 )
@@ -87,6 +90,14 @@ def test_n5_flags_against_oracle():
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
         build_poset("bad", ["0", "1"], [("0", "1"), ("1", "0")])
+
+
+def test_from_leq_rejects_non_orders():
+    with pytest.raises(NotAnOrder, match="not reflexive at 'b'"):
+        from_leq("bad", ["a", "b"], [[True, False], [False, False]])
+    with pytest.raises(NotAnOrder, match="not transitive"):
+        from_leq("bad", ["a", "b", "c"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert issubclass(NotAnOrder, OrdbenchError) and issubclass(NotAnOrder, ValueError)
 
 
 def test_duplicate_label():
