@@ -10,7 +10,6 @@ from ordbench import (
     NotAdjoint,
     OrdbenchError,
     SourceTargetMismatch,
-    build_poset,
     catalog,
     catalog_named,
     compose,
@@ -245,16 +244,10 @@ def test_enumerate_adjoint_connections_counts(c2):
     assert tables == sorted(tables)  # deterministic lexicographic order
 
 
-def small_posets():
+def small_posets(bare_posets):
     """Every poset of size <= 3 the oracles walk: catalog, generated and bare."""
-    bare = (
-        build_poset("A2", ("a", "b"), []),
-        build_poset("V3", ("bot", "a", "b"), [("bot", "a"), ("bot", "b")]),
-        build_poset("L3", ("a", "b", "top"), [("a", "top"), ("b", "top")]),
-        build_poset("E0", (), []),
-    )
-    small = [L for L in catalog() if L.size <= 3]
-    return small + list(generated_lattices(3)) + list(bare)
+    posets = catalog() + list(generated_lattices(3)) + list(bare_posets)
+    return [L for L in posets if L.size <= 3]
 
 
 def outcome(build):
@@ -269,11 +262,11 @@ def values_or_none(m):
     return None if m is None else m.values
 
 
-def test_adjoint_uniqueness_by_exhaustive_map_search():
+def test_adjoint_uniqueness_by_exhaustive_map_search(bare_posets):
     # Index every map (monotone or not) by the relation its biconditional
     # defines; at most one map per relation, and find_*_adjoint must return
     # exactly that map, or raise what building it as a MonotoneMap raises.
-    posets = small_posets()
+    posets = small_posets(bare_posets)
     walked = 0
     for P in posets:
         for Q in posets:
@@ -320,8 +313,8 @@ def oracle_adjoint_connection(conn, left, right):
     return None
 
 
-def test_adjoint_connection_matches_cell_by_cell_oracle():
-    posets = [L for L in small_posets() if L.size <= 2]
+def test_adjoint_connection_matches_cell_by_cell_oracle(bare_posets):
+    posets = [L for L in small_posets(bare_posets) if L.size <= 2]
     built = 0
     for P in posets:
         for Q in posets:

@@ -150,15 +150,8 @@ def oracle_top(L):
     return next((a for a in range(L.size) if all(L.leq[x][a] for x in range(L.size))), None)
 
 
-def test_meet_join_tables_match_oracle_on_catalog():
-    bare = [
-        build_poset("A2", ("a", "b"), []),
-        build_poset("V3", ("bot", "a", "b"), [("bot", "a"), ("bot", "b")]),
-        build_poset("L3", ("a", "b", "top"), [("a", "top"), ("b", "top")]),
-        build_poset("W5", ("a", "b", "c", "d", "e"), [("a", "b"), ("c", "b"), ("c", "d"), ("e", "d")]),
-        build_poset("E0", (), []),
-    ]
-    bases = catalog() + list(generated_lattices(6)) + bare
+def test_meet_join_tables_match_oracle_on_catalog(bare_posets):
+    bases = catalog() + list(generated_lattices(6)) + list(bare_posets)
     corpus = []
     for L in bases + [dual(L) for L in bases]:
         corpus.append(L)
