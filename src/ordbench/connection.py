@@ -41,8 +41,9 @@ from .lattice import (
 class Connection:
     """A weakening-closed relation between two posets, as a boolean table.
 
-    ``rel`` is a tuple of ``source.size`` row tuples of ``target.size`` bools;
-    the adjoint finders look rows and columns up as tuples.
+    ``rel`` has ``source.size`` rows of ``target.size`` bools; any sequence
+    of sequences is accepted and stored as a tuple of row tuples, which the
+    adjoint finders look up as dictionary keys.
     """
 
     source: FiniteLattice
@@ -50,12 +51,12 @@ class Connection:
     rel: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        if len(self.rel) != self.source.size or any(
-            len(row) != self.target.size for row in self.rel
-        ):
+        rel = tuple(map(tuple, self.rel))
+        if len(rel) != self.source.size or any(len(row) != self.target.size for row in rel):
             raise DimensionMismatch(
                 f"relation table must be {self.source.size}x{self.target.size}"
             )
+        object.__setattr__(self, "rel", rel)
 
     def __repr__(self) -> str:
         pairs = sum(1 for row in self.rel for v in row if v)
@@ -88,7 +89,7 @@ class AdjointConnection:
         if self.right is not None:
             if self.right.source != Q or self.right.target != P:
                 raise SourceTargetMismatch("right map does not match the connection's posets")
-            cols = _transpose(rel, Q.size)
+            cols = _columns(self.conn)
             if any(P.geq[gy] != col for gy, col in zip(self.right.values, cols)):
                 raise NotAdjoint("right map fails the adjunction biconditional")
 
@@ -141,14 +142,14 @@ def is_connection(source, target, rel) -> bool:
     return find_weakening_violation(source, target, rel) is None
 
 
-def _transpose(rows, width: int) -> tuple[tuple, ...]:
-    """The columns of a table whose rows have ``width`` entries, also when it has no rows."""
-    return tuple(zip(*rows)) if rows else ((),) * width
+def _columns(c: Connection) -> tuple[tuple[bool, ...], ...]:
+    """The columns of c's relation table, also when it has no rows."""
+    return tuple(zip(*c.rel)) if c.rel else ((),) * c.target.size
 
 
 def opposite(c: Connection) -> Connection:
     """The transposed relation, as a connection between the dual posets."""
-    return Connection(dual(c.target), dual(c.source), _transpose(c.rel, c.target.size))
+    return Connection(dual(c.target), dual(c.source), _columns(c))
 
 
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:
@@ -170,7 +171,7 @@ def find_right_adjoint(c: Connection) -> Optional[MonotoneMap]:
     Column y of R must be the down-set of g(y): a lookup among P's columns.
     """
     by_col = {col: x for x, col in enumerate(c.source.geq)}
-    values = tuple(by_col.get(col) for col in _transpose(c.rel, c.target.size))
+    values = tuple(by_col.get(col) for col in _columns(c))
     if None in values:
         return None
     return MonotoneMap(c.target, c.source, values)
@@ -183,8 +184,7 @@ def connection_of_monotone_left(f: MonotoneMap) -> Connection:
 
 def connection_of_monotone_right(g: MonotoneMap) -> Connection:
     """The connection x R y iff x <= g(y); find_right_adjoint recovers g."""
-    cols = tuple(g.target.geq[v] for v in g.values)
-    return Connection(g.target, g.source, _transpose(cols, g.source.size))
+    return Connection(g.target, g.source, tuple(tuple(row[v] for v in g.values) for row in g.target.leq))
 
 
 def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:

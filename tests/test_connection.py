@@ -5,6 +5,7 @@ import pytest
 from ordbench import (
     AdjointConnection,
     Connection,
+    DimensionMismatch,
     MissingAdjoint,
     MonotoneMap,
     NotAdjoint,
@@ -28,6 +29,7 @@ from ordbench import (
     monotone_maps,
     opposite,
     restrict_left,
+    right_adjoint_connection,
 )
 from ordbench.posetgen import generated_lattices
 
@@ -167,6 +169,18 @@ def test_adjoint_connection_verifies_chain(c2):
         AdjointConnection(identity_connection(c2), ident, const_bot)
 
 
+def test_connection_stores_rows_as_tuples(c2, c3):
+    # Rows given as lists are stored as tuples, so the finders can hash them
+    # and AdjointConnection compares them equal to the order rows.
+    ident = MonotoneMap(c3, c3, (0, 1, 2))
+    conn = Connection(c3, c3, [list(row) for row in c3.leq])
+    assert conn.rel == c3.leq and all(type(row) is tuple for row in conn.rel)
+    assert find_left_adjoint(conn).values == find_right_adjoint(conn).values == (0, 1, 2)
+    assert AdjointConnection(conn, ident, ident).is_adjoint
+    with pytest.raises(DimensionMismatch):
+        Connection(c2, c3, [[True, True, True], [True, True]])
+
+
 def test_adjoint_errors_are_typed(c2):
     ident = MonotoneMap(c2, c2, (0, 1))
     half = AdjointConnection(identity_connection(c2), ident, None)
@@ -262,31 +276,43 @@ def values_or_none(m):
     return None if m is None else m.values
 
 
-def test_adjoint_uniqueness_by_exhaustive_map_search(bare_posets):
+def test_adjoint_uniqueness_by_exhaustive_map_search(bare_posets, c3, b2):
     # Index every map (monotone or not) by the relation its biconditional
     # defines; at most one map per relation, and find_*_adjoint must return
     # exactly that map, or raise what building it as a MonotoneMap raises.
+    # Every monotone map's connection must also round-trip through the
+    # builders, including maps out of and into the empty poset.
     posets = small_posets(bare_posets)
-    walked = 0
-    for P in posets:
-        for Q in posets:
-            left_of, right_of = {}, {}
-            for vals in itertools.product(range(Q.size), repeat=P.size):
-                rel = tuple(tuple(Q.leq[vals[x]][y] for y in range(Q.size)) for x in range(P.size))
-                left_of.setdefault(rel, []).append(vals)
-            for vals in itertools.product(range(P.size), repeat=Q.size):
-                rel = tuple(tuple(P.leq[x][vals[y]] for y in range(Q.size)) for x in range(P.size))
-                right_of.setdefault(rel, []).append(vals)
-            for rel in all_relations(P, Q):
-                walked += 1
-                conn = Connection(P, Q, rel)
-                lefts, rights = left_of.get(rel, []), right_of.get(rel, [])
-                assert len(lefts) <= 1 and len(rights) <= 1
-                expected = outcome(lambda: MonotoneMap(P, Q, lefts[0]).values if lefts else None)
-                assert outcome(lambda: values_or_none(find_left_adjoint(conn))) == expected
-                expected = outcome(lambda: MonotoneMap(Q, P, rights[0]).values if rights else None)
-                assert outcome(lambda: values_or_none(find_right_adjoint(conn))) == expected
-    assert walked == 15871
+    pairs = [(P, Q) for P in posets for Q in posets] + [(c3, b2), (b2, c3)]
+    walked = round_trips = 0
+    for P, Q in pairs:
+        left_of, right_of = {}, {}
+        for vals in itertools.product(range(Q.size), repeat=P.size):
+            rel = tuple(tuple(Q.leq[vals[x]][y] for y in range(Q.size)) for x in range(P.size))
+            left_of.setdefault(rel, []).append(vals)
+        for vals in itertools.product(range(P.size), repeat=Q.size):
+            rel = tuple(tuple(P.leq[x][vals[y]] for y in range(Q.size)) for x in range(P.size))
+            right_of.setdefault(rel, []).append(vals)
+        for rel in all_relations(P, Q):
+            walked += 1
+            conn = Connection(P, Q, rel)
+            lefts, rights = left_of.get(rel, []), right_of.get(rel, [])
+            assert len(lefts) <= 1 and len(rights) <= 1
+            expected = outcome(lambda: MonotoneMap(P, Q, lefts[0]).values if lefts else None)
+            assert outcome(lambda: values_or_none(find_left_adjoint(conn))) == expected
+            expected = outcome(lambda: MonotoneMap(Q, P, rights[0]).values if rights else None)
+            assert outcome(lambda: values_or_none(find_right_adjoint(conn))) == expected
+        for f in monotone_maps(P, Q):
+            round_trips += 1
+            conn = connection_of_monotone_left(f)
+            assert left_of[conn.rel] == [f.values]
+            assert find_left_adjoint(conn).values == left_adjoint_connection(f).left.values == f.values
+        for g in monotone_maps(Q, P):
+            round_trips += 1
+            conn = connection_of_monotone_right(g)
+            assert right_of[conn.rel] == [g.values]
+            assert find_right_adjoint(conn).values == right_adjoint_connection(g).right.values == g.values
+    assert walked == 15871 + 2 * 4096 and round_trips == 1252
 
 
 def raw_map(source, target, values):
