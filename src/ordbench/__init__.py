@@ -22,9 +22,13 @@ from .errors import (
     NotMonotone,
     OrdbenchError,
     ParseError,
+    PredicateSyntaxError,
     SizeBoundExceeded,
     SourceTargetMismatch,
     UnknownLabel,
+    UnknownLaw,
+    UnknownSuite,
+    UnsupportedLaw,
 )
 from .lattice import (
     ElementView,
@@ -50,7 +54,6 @@ from .connection import (
     connection_of_monotone_left,
     connection_of_monotone_right,
     enumerate_adjoint_connections,
-    enumerate_connections,
     find_left_adjoint,
     find_right_adjoint,
     find_weakening_violation,

@@ -144,13 +144,8 @@ def cmd_quantale(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        predicate = parse_predicate(args.predicate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     result = search_counterexample(
-        predicate,
+        parse_predicate(args.predicate),
         args.max_size,
         modular_only=args.modular,
         include_generated=args.all_lattices,

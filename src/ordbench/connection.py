@@ -12,6 +12,12 @@ f(x) and column y of R is the principal down-set of g(y).  A left adjoint
 therefore exists exactly when every row of R is a row of Q's order table,
 and a right adjoint exactly when every column of R is a column of P's; each
 adjoint value is one lookup of a row (column), with nothing left to verify.
+
+The left map of a connection with both adjoints preserves bottom and every
+join that exists, so the adjoint connections P -> Q are enumerated over the
+monotone maps that do: the walk drops a partial value table as soon as one
+of its joins fails, and the lookup of the right adjoint still decides which
+survivors are kept.  Between finite lattices every survivor is kept.
 """
 
 from __future__ import annotations
@@ -24,16 +30,15 @@ from .errors import (
     DimensionMismatch,
     MissingAdjoint,
     NotAdjoint,
-    SizeBoundExceeded,
     SourceTargetMismatch,
 )
 from .lattice import (
     FiniteLattice,
     MonotoneMap,
+    _backtrack,
     compose_maps,
     down_set,
     dual,
-    monotone_maps,
 )
 
 
@@ -251,10 +256,31 @@ def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
     return AdjointConnection(conn, left, find_right_adjoint(conn))
 
 
+def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[MonotoneMap]:
+    """Monotone maps P -> Q that send P's bottom to Q's and preserve P's joins.
+
+    The left map of every adjoint connection P -> Q is one of them; they come
+    in lexicographic order of value tables.
+    A pair whose join is one of its members needs no check: monotonicity
+    already preserves that join.
+    """
+    n = P.size
+    choices = [range(Q.size)] * n
+    if P.bottom is not None:
+        choices[P.bottom] = () if Q.bottom is None else (Q.bottom,)
+    joins = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            k = P.join[a][b]
+            if k is not None and k != a and k != b:
+                joins[max(b, k)].append((a, b, k))
+    return _backtrack(P, Q, choices, joins)
+
+
 @lru_cache(maxsize=None)
 def _adjoint_connections_cached(P: FiniteLattice, Q: FiniteLattice) -> tuple[AdjointConnection, ...]:
     out = []
-    for f in monotone_maps(P, Q):
+    for f in _join_preserving_maps(P, Q):
         ac = left_adjoint_connection(f)
         if ac.right is not None:
             out.append(ac)
@@ -264,56 +290,14 @@ def _adjoint_connections_cached(P: FiniteLattice, Q: FiniteLattice) -> tuple[Adj
 def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[AdjointConnection]:
     """All adjoint connections P -> Q, ordered lexicographically by left map table.
 
-    One entry per monotone map P -> Q whose connection also has a right
-    adjoint; left- and right-adjointness are independent predicates and
-    neither is assumed to imply the other.
+    The left map f of one, with right map g, preserves bottom and every join
+    that exists in P: f(a v b) <= y iff a v b <= g(y) iff a <= g(y) and
+    b <= g(y) iff f(a) <= y and f(b) <= y, so f(a v b) is the join of f(a)
+    and f(b) in Q; likewise f(bottom) <= y for every y.  The enumeration
+    therefore walks only the monotone maps that preserve them, dropping a
+    partial table as soon as a join check fails, and loses no adjoint
+    connection on any finite poset.  The row lookup of
+    :func:`find_right_adjoint` still decides which candidates are kept;
+    between finite lattices it accepts every one.
     """
     return list(_adjoint_connections_cached(P, Q))
-
-
-def enumerate_connections(P: FiniteLattice, Q: FiniteLattice) -> Iterator[Connection]:
-    """Brute-force enumeration of every connection P -> Q.
-
-    Visits every one of the 2^(|P|*|Q|) relations, in increasing order of the
-    integer code whose bit x*|Q|+y records x R y, and yields those satisfying
-    the weakening law.  Bounded to 24 relation bits.
-    """
-    n, m = P.size, Q.size
-    if n * m > 24:
-        raise SizeBoundExceeded(f"{n}x{m} relation space too large to enumerate")
-    full = (1 << m) - 1
-    up_masks = []
-    for y in range(m):
-        mask = 0
-        for d in range(m):
-            if Q.leq[y][d]:
-                mask |= 1 << d
-        up_masks.append(mask)
-    upset_ok = bytearray(1 << m)
-    for mask in range(1 << m):
-        s, ok = mask, True
-        while s:
-            y = (s & -s).bit_length() - 1
-            if up_masks[y] & ~mask:
-                ok = False
-                break
-            s &= s - 1
-        upset_ok[mask] = ok
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and P.leq[a][b]]
-    for code in range(1 << (n * m)):
-        rows = []
-        tmp = code
-        good = True
-        for _ in range(n):
-            r = tmp & full
-            if not upset_ok[r]:
-                good = False
-                break
-            rows.append(r)
-            tmp >>= m
-        if not good:
-            continue
-        if any(rows[b] & ~rows[a] for a, b in pairs):
-            continue
-        rel = tuple(tuple(bool(rows[x] >> y & 1) for y in range(m)) for x in range(n))
-        yield Connection(P, Q, rel)

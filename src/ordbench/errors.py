@@ -49,6 +49,22 @@ class MissingAdjoint(OrdbenchError, ValueError):
     """An operation needs an adjoint map that the connection lacks."""
 
 
+class UnknownLaw(OrdbenchError, ValueError):
+    """A law identifier that is not in the law table."""
+
+
+class UnsupportedLaw(OrdbenchError, ValueError):
+    """A known law that the requested check is not stated for."""
+
+
+class PredicateSyntaxError(OrdbenchError, ValueError):
+    """A search predicate that does not parse."""
+
+
+class UnknownSuite(OrdbenchError, ValueError):
+    """A suite name that is not in the suite table."""
+
+
 class NotCommutative(OrdbenchError):
     def __init__(self, message, witness=None):
         super().__init__(message)

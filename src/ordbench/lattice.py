@@ -15,6 +15,7 @@ None if no element has that mask; joins, top and bottom likewise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -299,9 +300,11 @@ def divisor_lattice(n: int, name: Optional[str] = None) -> FiniteLattice:
 
     This models the ideals of the integers mod n ordered by inclusion; the
     orientation (bottom = (n), top = (1)) is fixed here once and inherited by
-    everything built on top.
+    everything built on top.  Divisors are found by trial division up to
+    the square root of n.
     """
-    divs = [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
+    divs = small + [n // d for d in reversed(small) if d * d != n]
     labels = tuple(f"({d})" for d in divs)
     leq = tuple(tuple(divs[i] % divs[j] == 0 for j in range(len(divs))) for i in range(len(divs)))
     return from_leq(name or f"Div{n}", labels, leq)
@@ -351,15 +354,19 @@ def catalog_named(name: str) -> FiniteLattice:
     raise UnknownLabel(f"no catalog lattice named {name!r}")
 
 
-def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator[MonotoneMap]:
-    """All monotone maps source -> target, in lexicographic order of value tables."""
-    n, m = source.size, target.size
+def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins) -> Iterator[MonotoneMap]:
+    """Monotone maps source -> target, in lexicographic order of value tables, pruned.
+
+    Values are assigned in index order.  Index i tries only the values in
+    ``choices[i]``, and once it is assigned, every ``(a, b, k)`` in
+    ``joins[i]`` (indices at most i) must have the target's join of the
+    values at a and b equal to the value at k.
+    """
+    n = source.size
     if n == 0:
         yield MonotoneMap(source, target, ())
         return
-    if m == 0:
-        return
-    leq_s, leq_t = source.leq, target.leq
+    leq_s, leq_t, join_t = source.leq, target.leq, target.join
     below = [[j for j in range(i) if leq_s[j][i]] for i in range(n)]
     above = [[j for j in range(i) if leq_s[i][j]] for i in range(n)]
     values = [0] * n
@@ -368,14 +375,21 @@ def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator
         if i == n:
             yield MonotoneMap(source, target, tuple(values))
             return
-        for y in range(m):
+        for y in choices[i]:
             if all(leq_t[values[j]][y] for j in below[i]) and all(
                 leq_t[y][values[j]] for j in above[i]
             ):
                 values[i] = y
-                yield from rec(i + 1)
+                if all(join_t[values[a]][values[b]] == values[k] for a, b, k in joins[i]):
+                    yield from rec(i + 1)
 
     yield from rec(0)
+
+
+def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator[MonotoneMap]:
+    """All monotone maps source -> target, in lexicographic order of value tables."""
+    n = source.size
+    yield from _backtrack(source, target, [range(target.size)] * n, [()] * n)
 
 
 @lru_cache(maxsize=None)

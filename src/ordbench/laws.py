@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .errors import SizeBoundExceeded, SourceTargetMismatch
+from .errors import (
+    PredicateSyntaxError,
+    SizeBoundExceeded,
+    SourceTargetMismatch,
+    UnknownLaw,
+    UnknownSuite,
+    UnsupportedLaw,
+)
 from .lattice import FiniteLattice, catalog, monotone_maps
 from .connection import (
     AdjointConnection,
@@ -395,7 +402,7 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     try:
         law = LAW_TABLE[law_id]
     except KeyError:
-        raise ValueError(f"unknown law {law_id!r}") from None
+        raise UnknownLaw(f"unknown law {law_id!r}") from None
     if law.needs_left and ac.left is None:
         return LawReport(law_id, None, None, "left adjoint absent")
     if law.needs_right and ac.right is None:
@@ -567,7 +574,7 @@ def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationChe
 def verify_composition_stability(r: AdjointConnection, s: AdjointConnection, law_id: str) -> ImplicationCheck:
     """law(r) and law(s) imply law(compose(r, s)), for LF0 or RF0."""
     if law_id not in ("LF0", "RF0"):
-        raise ValueError("composition stability is asserted for LF0 and RF0 only")
+        raise UnsupportedLaw("composition stability is asserted for LF0 and RF0 only")
     if r.conn.target != s.conn.source:
         raise SourceTargetMismatch("connections are not composable")
     name = f"{law_id} stable under composition"
@@ -619,7 +626,7 @@ def parse_predicate(text: str) -> Predicate:
             tokens.append(text[i:j])
             i = j
         else:
-            raise ValueError(f"bad character {ch!r} in predicate")
+            raise PredicateSyntaxError(f"bad character {ch!r} in predicate")
     pos = 0
     laws: list[str] = []
 
@@ -629,10 +636,10 @@ def parse_predicate(text: str) -> Predicate:
     def take(expected=None):
         nonlocal pos
         if pos >= len(tokens):
-            raise ValueError("unexpected end of predicate")
+            raise PredicateSyntaxError("unexpected end of predicate")
         tok = tokens[pos]
         if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
+            raise PredicateSyntaxError(f"expected {expected!r}, found {tok!r}")
         pos += 1
         return tok
 
@@ -669,11 +676,11 @@ def parse_predicate(text: str) -> Predicate:
             if tok not in laws:
                 laws.append(tok)
             return (lambda name: lambda v: v[name])(tok)
-        raise ValueError(f"unknown law {tok!r} in predicate")
+        raise UnknownLaw(f"unknown law {tok!r} in predicate")
 
     fn = parse_or()
     if pos != len(tokens):
-        raise ValueError(f"trailing tokens in predicate: {' '.join(tokens[pos:])}")
+        raise PredicateSyntaxError(f"trailing tokens in predicate: {' '.join(tokens[pos:])}")
     return Predicate(text, tuple(laws), fn)
 
 
@@ -887,5 +894,5 @@ def run_suite(name: str, lattices: Sequence[FiniteLattice]) -> SuiteResult:
     try:
         connections, failures = _PER_CONNECTION_SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}") from None
+        raise UnknownSuite(f"unknown suite {name!r}") from None
     return _per_connection_suite(name, lattices, connections, failures)

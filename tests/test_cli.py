@@ -193,6 +193,17 @@ def test_search_bad_predicate(capsys):
     code, _, err = invoke(capsys, "search", "--predicate", "LM0 &", "--max-size", "4")
     assert code == 2
     assert "predicate" in err or "unexpected" in err
+    code, out, err = invoke(capsys, "search", "--predicate", "LM0 & ZZ1", "--max-size", "4")
+    assert (code, out, err) == (2, "", "error: unknown law 'ZZ1' in predicate\n")
+
+
+def test_search_modular_all_lattices_finds_no_counterexample(capsys):
+    code, out, err = invoke(
+        capsys,
+        "search", "--predicate", "LM0 & RM0 & !(LF0 & RF0)", "--max-size", "6",
+        "--modular", "--all-lattices",
+    )
+    assert (code, out, err) == (0, "not found (24522 cases)\n", "")
 
 
 def test_search_with_generated_lattices(capsys):

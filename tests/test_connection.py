@@ -20,7 +20,6 @@ from ordbench import (
     down_set,
     dual,
     enumerate_adjoint_connections,
-    enumerate_connections,
     find_left_adjoint,
     find_right_adjoint,
     is_connection,
@@ -31,7 +30,10 @@ from ordbench import (
     restrict_left,
     right_adjoint_connection,
 )
+from ordbench.connection import _join_preserving_maps
 from ordbench.posetgen import generated_lattices
+
+from oracles import enumerate_connections
 
 
 def naive_is_connection(P, Q, rel):
@@ -256,6 +258,22 @@ def test_enumerate_adjoint_connections_counts(c2):
     assert len(got) == oracle == 2
     tables = [ac.left.values for ac in got]
     assert tables == sorted(tables)  # deterministic lexicographic order
+
+
+def test_enumeration_matches_filtered_monotone_maps(bare_posets):
+    """The join-pruned walk yields what filtering every monotone map yields, in order."""
+    lattices = catalog() + list(generated_lattices(5))
+    posets = list(bare_posets) + [catalog_named(n) for n in ("C1", "C2", "B2", "N5")]
+    pairs = [(P, Q) for P in lattices for Q in lattices] + [(P, Q) for P in posets for Q in posets]
+    for P, Q in pairs:
+        oracle = [
+            ac for f in monotone_maps(P, Q) if (ac := left_adjoint_connection(f)).right is not None
+        ]
+        assert enumerate_adjoint_connections(P, Q) == oracle, (P.name, Q.name)
+        if P.is_lattice and Q.is_lattice:
+            # between lattices, preserving bottom and joins is already enough
+            for f in _join_preserving_maps(P, Q):
+                assert find_right_adjoint(connection_of_monotone_left(f)) is not None
 
 
 def small_posets(bare_posets):

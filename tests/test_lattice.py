@@ -142,6 +142,15 @@ def test_divisor_lattice_meets_joins_are_number_theoretic():
             assert divs[L.meet[i][j]] == a * b // math.gcd(a, b)  # intersection
 
 
+def test_divisor_lattice_matches_full_scan():
+    """Trial division finds the divisors the scan of 1..n finds, in the same order."""
+    # every n up to 2000, and a dense and a sparse modulus of the quantale benchmark
+    for n in [*range(-2, 2001), 55440, 20008504]:
+        L = divisor_lattice(n)
+        assert L.name == f"Div{n}"
+        assert L.labels == tuple(f"({d})" for d in range(1, n + 1) if n % d == 0)
+
+
 def oracle_bottom(L):
     return next((a for a in range(L.size) if all(L.leq[a][x] for x in range(L.size))), None)
 

@@ -7,7 +7,12 @@ from ordbench import (
     AdjointConnection,
     Connection,
     MonotoneMap,
+    OrdbenchError,
+    PredicateSyntaxError,
     SizeBoundExceeded,
+    UnknownLaw,
+    UnknownSuite,
+    UnsupportedLaw,
     build_poset,
     catalog,
     catalog_named,
@@ -349,6 +354,25 @@ def test_predicate_parser():
     pred2 = parse_predicate("LM0 | LM1 & !LM2")
     assert pred2.evaluate({"LM0": False, "LM1": True, "LM2": False})
     assert not pred2.evaluate({"LM0": False, "LM1": True, "LM2": True})
+
+
+def test_law_errors_are_typed(n5):
+    ac = identity_adjoint(n5)
+    cases = [
+        (UnknownLaw, "unknown law 'ZZ1'", lambda: eval_law("ZZ1", ac)),
+        (UnknownLaw, "unknown law 'NOPE' in predicate", lambda: parse_predicate("NOPE")),
+        (PredicateSyntaxError, "bad character '$'", lambda: parse_predicate("LM0 $")),
+        (PredicateSyntaxError, "unexpected end", lambda: parse_predicate("LM0 &")),
+        (PredicateSyntaxError, "expected ')', found 'LM1'", lambda: parse_predicate("(LM0 LM1")),
+        (PredicateSyntaxError, "trailing tokens", lambda: parse_predicate("LM0 LM1")),
+        (UnknownSuite, "unknown suite 'nope'", lambda: run_suite("nope", [n5])),
+        (UnsupportedLaw, "LF0 and RF0 only", lambda: verify_composition_stability(ac, ac, "LM0")),
+    ]
+    for cls, message, call in cases:
+        with pytest.raises(OrdbenchError) as info:
+            call()
+        assert type(info.value) is cls and isinstance(info.value, ValueError)
+        assert message in str(info.value)
 
 
 def test_predicate_parser_errors():
