@@ -12,6 +12,7 @@ f(x) and column y of R is the principal down-set of g(y).  A left adjoint
 therefore exists exactly when every row of R is a row of Q's order table,
 and a right adjoint exactly when every column of R is a column of P's; each
 adjoint value is one lookup of a row (column), with nothing left to verify.
+A quantale's residuals are the right adjoints found this way.
 
 The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the
@@ -38,7 +39,6 @@ from .lattice import (
     _backtrack,
     compose_maps,
     down_set,
-    dual,
 )
 
 
@@ -153,8 +153,8 @@ def _columns(c: Connection) -> tuple[tuple[bool, ...], ...]:
 
 
 def opposite(c: Connection) -> Connection:
-    """The transposed relation, as a connection between the dual posets."""
-    return Connection(dual(c.target), dual(c.source), _columns(c))
+    """The transposed relation, as a connection between the cached dual posets."""
+    return Connection(c.target.op, c.source.op, _columns(c))
 
 
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:

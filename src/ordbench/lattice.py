@@ -36,9 +36,11 @@ from .errors import (
 class FiniteLattice:
     """A finite poset with computed meet/join structure and structural flags.
 
-    Despite the name this may be a bare poset: the four flags record what
-    structure is actually present.  ``is_modular``/``is_distributive`` are
-    computed by exhaustive identity checks at construction time.
+    Despite the name this may be a bare poset: the flags record what
+    structure is actually present.  ``is_lattice``/``is_bounded`` are read
+    off the tables; ``is_modular``/``is_distributive`` are computed by
+    exhaustive identity checks on first use and then cached.  ``op`` is the
+    dual poset, built on first use and then cached.
     """
 
     name: str
@@ -48,10 +50,6 @@ class FiniteLattice:
     join: tuple[tuple[Optional[int], ...], ...]
     bottom: Optional[int]
     top: Optional[int]
-    is_lattice: bool
-    is_bounded: bool
-    is_modular: bool
-    is_distributive: bool
 
     @property
     def size(self) -> int:
@@ -79,10 +77,45 @@ class FiniteLattice:
     def has_binary_joins(self) -> bool:
         return all(j is not None for row in self.join for j in row)
 
+    @property
+    def is_lattice(self) -> bool:
+        return self.size > 0 and self.has_binary_meets and self.has_binary_joins
+
+    @property
+    def is_bounded(self) -> bool:
+        return self.bottom is not None and self.top is not None
+
+    @cached_property
+    def is_modular(self) -> bool:
+        """a <= c implies a v (b ^ c) = (a v b) ^ c, checked over all triples."""
+        n, leq, meet, join = self.size, self.leq, self.meet, self.join
+        return self.is_lattice and all(
+            join[a][meet[b][c]] == meet[join[a][b]][c]
+            for a in range(n)
+            for c in range(n)
+            if leq[a][c]
+            for b in range(n)
+        )
+
+    @cached_property
+    def is_distributive(self) -> bool:
+        """a ^ (b v c) = (a ^ b) v (a ^ c), checked over all triples."""
+        n, meet, join = self.size, self.meet, self.join
+        return self.is_lattice and all(
+            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+
     @cached_property
     def geq(self) -> tuple[tuple[bool, ...], ...]:
         """The transposed order table: ``geq[a][b]`` iff b <= a."""
         return tuple(zip(*self.leq))
+
+    @cached_property
+    def op(self) -> "FiniteLattice":
+        return dual(self)
 
     def __repr__(self) -> str:
         return f"FiniteLattice({self.name!r}, size={self.size})"
@@ -189,35 +222,7 @@ def _finalize(name, labels, leq) -> FiniteLattice:
     down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
     up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
     bottom, top, meet, join = _bounds(down, up)
-    is_lattice = n > 0 and all(
-        meet[a][b] is not None and join[a][b] is not None for a in range(n) for b in range(n)
-    )
-    is_modular = is_lattice and all(
-        join[a][meet[b][c]] == meet[join[a][b]][c]
-        for a in range(n)
-        for c in range(n)
-        if leq[a][c]
-        for b in range(n)
-    )
-    is_distributive = is_lattice and all(
-        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
-    return FiniteLattice(
-        name=name,
-        labels=labels,
-        leq=leq,
-        meet=meet,
-        join=join,
-        bottom=bottom,
-        top=top,
-        is_lattice=is_lattice,
-        is_bounded=bottom is not None and top is not None,
-        is_modular=is_modular,
-        is_distributive=is_distributive,
-    )
+    return FiniteLattice(name, labels, leq, meet, join, bottom, top)
 
 
 def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -257,9 +262,11 @@ def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, st
 
 
 def dual(L: FiniteLattice) -> FiniteLattice:
-    """The opposite poset: order reversed, bottom/top and meet/join swapped."""
+    """The opposite poset: L's own tables with order, bottom/top and meet/join swapped."""
     name = L.name[:-3] if L.name.endswith("^op") else L.name + "^op"
-    return _finalize(name, L.labels, L.geq)
+    D = FiniteLattice(name, L.labels, L.geq, L.join, L.meet, L.top, L.bottom)
+    D.__dict__["op"] = L  # fills D's cached op: the dual of D is L
+    return D
 
 
 def down_set(L: FiniteLattice, a: int) -> ElementView:
@@ -295,6 +302,19 @@ def _boolean(k: int, name: str) -> FiniteLattice:
     return from_leq(name, labels, leq)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _divisor_order(divs: Sequence[int], name: str) -> FiniteLattice:
+    """The divisors ``divs`` of a number, labelled (d), under reverse divisibility."""
+    labels = tuple(f"({d})" for d in divs)
+    leq = tuple(tuple(a % b == 0 for b in divs) for a in divs)
+    return from_leq(name, labels, leq)
+
+
 def divisor_lattice(n: int, name: Optional[str] = None) -> FiniteLattice:
     """Divisors of n under reverse divisibility: (a) <= (b) iff b divides a.
 
@@ -303,11 +323,7 @@ def divisor_lattice(n: int, name: Optional[str] = None) -> FiniteLattice:
     everything built on top.  Divisors are found by trial division up to
     the square root of n.
     """
-    small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
-    divs = small + [n // d for d in reversed(small) if d * d != n]
-    labels = tuple(f"({d})" for d in divs)
-    leq = tuple(tuple(divs[i] % divs[j] == 0 for j in range(len(divs))) for i in range(len(divs)))
-    return from_leq(name or f"Div{n}", labels, leq)
+    return _divisor_order(_divisors(n), name or f"Div{n}")
 
 
 @lru_cache(maxsize=1)

@@ -9,10 +9,10 @@ first failing assignment in the lexicographic order of the law's own
 variables.
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
-on the opposite connection Q^op -> P^op, whose left adjoint is g and whose
-right adjoint is f; its table entry renames the variables, visits them in
-its own order where the two laws list them differently, and swaps the two
-sides of an inequality, which reverses under duality.
+on the opposite connection Q.op -> P.op between the cached duals, whose left
+adjoint is g and whose right adjoint is f; its table entry renames the
+variables, visits them in its own order where the two laws list them
+differently, and swaps the two sides of an inequality, which reverses.
 
 Laws whose structural hypotheses are missing (no top, no binary meets, a
 missing adjoint, ...) are reported as *skipped*, never silently true or
@@ -92,12 +92,11 @@ class LawReport:
 class _LawDef:
     id: str
     vars: tuple[str, ...]
-    var_sides: str  # one of "P"/"Q" per variable
-    value_side: str  # poset the lhs/rhs values live in
+    var_sides: str  # "P"/"Q" per case entry: the evaluated connection's poset
     needs_left: bool
     needs_right: bool
     requires: tuple[str, ...]
-    context: Callable  # adjoint connection -> evaluation context
+    context: Callable  # adjoint connection -> context of the evaluated connection
     prep: Callable  # adds a law's own tables to the context
     cases: Callable
     check: Callable
@@ -131,31 +130,25 @@ def _missing_structure(ac: AdjointConnection, requires) -> Optional[str]:
     return None
 
 
-def _base_ctx(ac: AdjointConnection) -> SimpleNamespace:
-    P, Q = ac.source, ac.target
+def _context(P: FiniteLattice, Q: FiniteLattice, left, right) -> SimpleNamespace:
+    """The tables a law reads, for a connection P -> Q with these adjoint maps."""
     return SimpleNamespace(
-        f=ac.left.values if ac.left is not None else None,
-        g=ac.right.values if ac.right is not None else None,
+        P=P, Q=Q,
+        f=left.values if left is not None else None,
+        g=right.values if right is not None else None,
         leqP=P.leq, leqQ=Q.leq,
         meetP=P.meet, joinP=P.join, meetQ=Q.meet, joinQ=Q.join,
         n=P.size, m=Q.size, topP=P.top, botQ=Q.bottom,
     )
 
 
-def _opposite_ctx(ac: AdjointConnection) -> SimpleNamespace:
-    """The context of the opposite connection Q^op -> P^op.
+def _own_ctx(ac: AdjointConnection) -> SimpleNamespace:
+    return _context(ac.source, ac.target, ac.left, ac.right)
 
-    Its left adjoint is g and its right adjoint f; orders are transposed,
-    meets and joins swapped, and P^op's top is Q's bottom.
-    """
-    P, Q = ac.source, ac.target
-    return SimpleNamespace(
-        f=ac.right.values if ac.right is not None else None,
-        g=ac.left.values if ac.left is not None else None,
-        leqP=Q.geq, leqQ=P.geq,
-        meetP=Q.join, joinP=Q.meet, meetQ=P.join, joinQ=P.meet,
-        n=Q.size, m=P.size, topP=Q.bottom, botQ=P.top,
-    )
+
+def _opposite_ctx(ac: AdjointConnection) -> SimpleNamespace:
+    """The context of the opposite connection Q^op -> P^op, whose left adjoint is g."""
+    return _context(ac.target.op, ac.source.op, ac.right, ac.left)
 
 
 def _no_prep(ctx):
@@ -294,28 +287,28 @@ def _lf2_check(ctx, case):
     return (ok, c, c if ok else None)
 
 
-def _law(law_id, vars_, var_sides, value_side, requires=(), needs_left=True,
+def _law(law_id, vars_, var_sides, requires=(), needs_left=True,
          needs_right=True, prep=_no_prep, cases=None, check=None):
-    return _LawDef(law_id, vars_, var_sides, value_side, needs_left, needs_right,
-                   tuple(requires), _base_ctx, prep, cases, check, False, False)
+    return _LawDef(law_id, vars_, var_sides, needs_left, needs_right,
+                   tuple(requires), _own_ctx, prep, cases, check, False, False)
 
 
 LAW_TABLE = {
     law.id: law
     for law in (
-        _law("LM0", ("y",), "Q", "Q", requires=("topP",), cases=_lm0_cases, check=_lm0_check),
-        _law("LM1", ("b", "c"), "PQ", "Q", prep=_image, cases=_lm1_cases, check=_lm1_check),
-        _law("LM2", ("c", "d"), "QQ", "Q", cases=_lm2_cases, check=_lm2_check),
-        _law("LM3", ("c", "d"), "QQ", "Q", cases=_lm3_cases, check=_lm3_check),
-        _law("LM4", ("c", "d"), "QQ", "Q", requires=("topP", "meetsQ"),
+        _law("LM0", ("y",), "Q", requires=("topP",), cases=_lm0_cases, check=_lm0_check),
+        _law("LM1", ("b", "c"), "PQ", prep=_image, cases=_lm1_cases, check=_lm1_check),
+        _law("LM2", ("c", "d"), "QQ", cases=_lm2_cases, check=_lm2_check),
+        _law("LM3", ("c", "d"), "QQ", cases=_lm3_cases, check=_lm3_check),
+        _law("LM4", ("c", "d"), "QQ", requires=("topP", "meetsQ"),
              cases=_lm4_cases, check=_lm4_check),
-        _law("LM5", ("c", "d"), "QQ", "Q", requires=("topP", "meetsQ"),
+        _law("LM5", ("c", "d"), "QQ", requires=("topP", "meetsQ"),
              cases=_lm5_cases, check=_lm5_check),
-        _law("LF0", ("b", "c"), "PQ", "Q", requires=("meetsP", "meetsQ"),
+        _law("LF0", ("b", "c"), "PQ", requires=("meetsP", "meetsQ"),
              cases=_lf0_cases, check=_lf0_check),
-        _law("LF1", ("b", "c"), "PQ", "Q", needs_right=False,
+        _law("LF1", ("b", "c"), "PQ", needs_right=False,
              prep=_down_images, cases=_lf1_cases, check=_lf1_check),
-        _law("LF2", ("a", "b", "c"), "PPQ", "Q", needs_right=False,
+        _law("LF2", ("a", "b", "c"), "PPQ", needs_right=False,
              prep=_down_images, cases=_lf2_cases, check=_lf2_check),
     )
 }
@@ -332,10 +325,9 @@ def _opposite_law(law_id, base_id, vars_, requires=(), reorder=None, swap=False)
     law's rhs.
     """
     base = LAW_TABLE[base_id]
-    sides = base.var_sides.translate(str.maketrans("PQ", "QP"))
-    return _LawDef(law_id, vars_, sides[::-1] if reorder else sides, "P",
-                   base.needs_right, base.needs_left, tuple(requires), _opposite_ctx,
-                   base.prep, reorder or base.cases, base.check, reorder is not None, swap)
+    return _LawDef(law_id, vars_, base.var_sides, base.needs_right, base.needs_left,
+                   tuple(requires), _opposite_ctx, base.prep, reorder or base.cases,
+                   base.check, reorder is not None, swap)
 
 
 # A base law's assignments in the lexicographic order of its variables
@@ -373,23 +365,23 @@ LAW_TABLE.update(
 )
 
 
-def _render_witness(law: _LawDef, ac: AdjointConnection, case, lhs, rhs) -> Witness:
-    indices = tuple(case)[::-1] if law.reverse else tuple(case)
+def _render_witness(law: _LawDef, ctx, case, lhs, rhs) -> Witness:
+    # A dual poset keeps the labels of the original, so a right-hand law's
+    # case is labelled from the posets of the connection it was evaluated on.
+    labels = {"P": ctx.P.labels, "Q": ctx.Q.labels}
+    names = tuple(labels[side][idx] for side, idx in zip(law.var_sides, case))
+    indices = tuple(case)
+    if law.reverse:
+        names, indices = names[::-1], indices[::-1]
     if law.swap:
         lhs, rhs = rhs, lhs
-    P, Q = ac.source, ac.target
-    labels = {"P": P.labels, "Q": Q.labels}
-    assignment = tuple(
-        (var, labels[side][idx]) for var, side, idx in zip(law.vars, law.var_sides, indices)
-    )
-    value_labels = labels[law.value_side]
     return Witness(
-        assignment=assignment,
+        assignment=tuple(zip(law.vars, names)),
         indices=indices,
         lhs=lhs,
         rhs=rhs,
-        lhs_label=value_labels[lhs] if lhs is not None else "absent",
-        rhs_label=value_labels[rhs] if rhs is not None else "absent",
+        lhs_label=labels["Q"][lhs] if lhs is not None else "absent",
+        rhs_label=labels["Q"][rhs] if rhs is not None else "absent",
     )
 
 
@@ -414,7 +406,7 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     for case in law.cases(ctx):
         ok, lhs, rhs = law.check(ctx, case)
         if not ok:
-            return LawReport(law_id, False, _render_witness(law, ac, case, lhs, rhs), None)
+            return LawReport(law_id, False, _render_witness(law, ctx, case, lhs, rhs), None)
     return LawReport(law_id, True, None, None)
 
 

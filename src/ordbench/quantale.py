@@ -7,7 +7,8 @@ by a fixed element is then a left adjoint whose right adjoint is the
 residual a:e, the largest c with c*e <= a; this is the bridge to the
 connection laws: an element is principal exactly when its multiplication
 connection satisfies both reciprocity laws, and weakly principal when it
-satisfies both modular-connection laws.
+satisfies both modular-connection laws.  The connection layer's column
+lookup finds the residual table as that right adjoint.
 """
 
 from __future__ import annotations
@@ -20,14 +21,21 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidModulus,
+    NotAdjoint,
     NotAssociative,
     NotBounded,
     NotCommutative,
     NotJoinPreserving,
+    SizeBoundExceeded,
 )
-from .lattice import FiniteLattice, MonotoneMap, divisor_lattice
-from .connection import AdjointConnection, Connection
+from .lattice import FiniteLattice, MonotoneMap, _divisor_order, _divisors
+from .connection import AdjointConnection, left_adjoint_connection
 from .laws import LawReport, Witness, eval_law
+
+# Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
+# table checks of `build_quantale` are cubic in the number of divisors.
+MAX_MODULUS = 10**12
+MAX_DIVISORS = 240
 
 
 @dataclass(frozen=True, repr=False)
@@ -110,22 +118,27 @@ def zn_ideal_quantale(n: int) -> Quantale:
 
     Elements are divisors d of n standing for the ideal (d); order is
     reverse divisibility, join is the ideal sum (gcd), meet the intersection
-    (lcm) and multiplication the ideal product gcd(a*b, n).
+    (lcm) and multiplication the ideal product gcd(a*b, n).  The lattice is
+    ``divisor_lattice(n)``, built from the same divisor list as the table.
+    Raises SizeBoundExceeded when n exceeds MAX_MODULUS (before any
+    division) or has more than MAX_DIVISORS divisors (before any table).
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
-    lattice = divisor_lattice(n)
-    divs = [int(lab[1:-1]) for lab in lattice.labels]
+    if n > MAX_MODULUS:
+        raise SizeBoundExceeded(f"modulus {n} exceeds the bound {MAX_MODULUS}")
+    divs = _divisors(n)
+    if len(divs) > MAX_DIVISORS:
+        raise SizeBoundExceeded(
+            f"modulus {n} has {len(divs)} divisors, more than the bound {MAX_DIVISORS}"
+        )
     pos = {d: i for i, d in enumerate(divs)}
-    mult = tuple(
-        tuple(pos[gcd(divs[i] * divs[j], n)] for j in range(len(divs)))
-        for i in range(len(divs))
-    )
-    return build_quantale(lattice, mult)
+    mult = tuple(tuple(pos[gcd(a * b, n)] for b in divs) for a in divs)
+    return build_quantale(_divisor_order(divs, f"Div{n}"), mult)
 
 
 def residual(q: Quantale, a: int, e: int) -> int:
-    """The largest c with c*e <= a, computed as the join of all such c."""
+    """The largest c with c*e <= a, as a join; the tests' check of element_connection."""
     L = q.lattice
     L.check_element(a)
     L.check_element(e)
@@ -139,17 +152,15 @@ def residual(q: Quantale, a: int, e: int) -> int:
 def element_connection(q: Quantale, e: int) -> AdjointConnection:
     """The adjoint connection of multiplication by e.
 
-    Left map b -> b*e, right map a -> a:e; the Galois biconditional is
-    verified on construction, so the result plugs straight into the law
-    evaluators.
+    Left map b -> b*e; its right adjoint a -> a:e is looked up by
+    left_adjoint_connection, and NotAdjoint raised if there is none.
     """
     L = q.lattice
     L.check_element(e)
-    n = L.size
-    left_vals = tuple(q.mult[b][e] for b in range(n))
-    right_vals = tuple(residual(q, a, e) for a in range(n))
-    conn = Connection(L, L, tuple(L.leq[v] for v in left_vals))
-    return AdjointConnection(conn, MonotoneMap(L, L, left_vals), MonotoneMap(L, L, right_vals))
+    ac = left_adjoint_connection(MonotoneMap(L, L, tuple(q.mult[b][e] for b in range(L.size))))
+    if ac.right is None:
+        raise NotAdjoint(f"multiplication by {L.labels[e]} has no right adjoint")
+    return ac
 
 
 def _principal_law_report(law_id, labels, vars_, failure):
@@ -175,12 +186,12 @@ def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
 
     The element is principal iff both hold.  The same pair of verdicts must
     come out of the reciprocity laws LF0/RF0 evaluated on the multiplication
-    connection; that equivalence is asserted here as a cross-check.
+    connection, whose right adjoint supplies the residuals a:e; that
+    equivalence is asserted here as a cross-check.
     """
     L = q.lattice
-    L.check_element(e)
-    n, meet, join, mult = L.size, L.meet, L.join, q.mult
-    res = [residual(q, x, e) for x in range(n)]
+    ec = element_connection(q, e)
+    n, meet, join, mult, res = L.size, L.meet, L.join, q.mult, ec.right.values
 
     failure_i = None
     for c in range(n):
@@ -206,7 +217,6 @@ def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
     report_i = _principal_law_report("principal-i", L.labels, ("c", "d"), failure_i)
     report_ii = _principal_law_report("principal-ii", L.labels, ("a", "b"), failure_ii)
 
-    ec = element_connection(q, e)
     lf0 = eval_law("LF0", ec)
     rf0 = eval_law("RF0", ec)
     if lf0.holds != report_i.holds or rf0.holds != report_ii.holds:

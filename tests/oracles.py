@@ -49,3 +49,35 @@ def enumerate_connections(P, Q):
             continue
         rel = tuple(tuple(bool(rows[x] >> y & 1) for y in range(m)) for x in range(n))
         yield Connection(P, Q, rel)
+
+
+def is_lattice_by_tables(L):
+    """Nonempty, with every binary meet and join present in the tables."""
+    return L.size > 0 and all(
+        L.meet[a][b] is not None and L.join[a][b] is not None
+        for a in range(L.size)
+        for b in range(L.size)
+    )
+
+
+def modular_by_tables(L):
+    """The modular law a <= c => a v (b ^ c) = (a v b) ^ c over all triples."""
+    n, leq, meet, join = L.size, L.leq, L.meet, L.join
+    return is_lattice_by_tables(L) and all(
+        join[a][meet[b][c]] == meet[join[a][b]][c]
+        for a in range(n)
+        for c in range(n)
+        if leq[a][c]
+        for b in range(n)
+    )
+
+
+def distributive_by_tables(L):
+    """The distributive law a ^ (b v c) = (a ^ b) v (a ^ c) over all triples."""
+    n, meet, join = L.size, L.meet, L.join
+    return is_lattice_by_tables(L) and all(
+        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -173,6 +174,16 @@ def test_quantale_invalid_modulus(capsys):
     code, _, err = invoke(capsys, "quantale", "--zn", "1", "--principal")
     assert code == 2
     assert "modulus" in err
+
+
+def test_quantale_zn_beyond_the_bounds_is_an_input_error(capsys):
+    # a prime above 10^12, and 2^5 * 3^2 * 5 * 7 * 11 * 13 with 288 divisors
+    for n in ("1000000000039", "1441440"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "quantale", "--zn", n, "--principal")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_search_not_found(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,10 @@ from ordbench import (
     iter_monotone_maps,
     up_set,
 )
+from ordbench.lattice import _finalize
 from ordbench.posetgen import generated_lattices
+
+from oracles import distributive_by_tables, is_lattice_by_tables, modular_by_tables
 
 
 def oracle_glb(L, a, b):
@@ -159,19 +164,63 @@ def oracle_top(L):
     return next((a for a in range(L.size) if all(L.leq[x][a] for x in range(L.size))), None)
 
 
-def test_meet_join_tables_match_oracle_on_catalog(bare_posets):
-    bases = catalog() + list(generated_lattices(6)) + list(bare_posets)
+def _with_views_and_duals(bases):
+    """Each base and its dual, each followed by all its down-set and up-set views."""
     corpus = []
     for L in bases + [dual(L) for L in bases]:
         corpus.append(L)
         corpus.extend(down_set(L, a).view for a in range(L.size))
         corpus.extend(up_set(L, a).view for a in range(L.size))
+    return corpus
+
+
+def test_meet_join_tables_match_oracle_on_catalog(bare_posets):
+    corpus = _with_views_and_duals(catalog() + list(generated_lattices(6)) + list(bare_posets))
     for L in corpus:
         assert (L.bottom, L.top) == (oracle_bottom(L), oracle_top(L))
         for a in range(L.size):
             for b in range(L.size):
                 assert L.meet[a][b] == oracle_glb(L, a, b)
                 assert L.join[a][b] == oracle_lub(L, a, b)
+
+
+@pytest.fixture(scope="module")
+def flag_corpus(bare_posets):
+    bases = catalog() + list(generated_lattices(6)) + [divisor_lattice(360)] + list(bare_posets)
+    return _with_views_and_duals(bases)
+
+
+def test_flags_match_the_table_oracles(flag_corpus):
+    for L in flag_corpus:
+        assert L.is_lattice == is_lattice_by_tables(L), L
+        assert L.is_bounded == (L.bottom is not None and L.top is not None), L
+        assert L.is_modular == modular_by_tables(L), L
+        assert L.is_distributive == distributive_by_tables(L), L
+
+
+def test_order_checks_run_on_demand():
+    L = divisor_lattice(55440)
+    assert "is_modular" not in vars(L) and "is_distributive" not in vars(L)
+    assert L.is_distributive
+    assert "is_distributive" in vars(L)
+
+
+def test_dual_matches_a_fresh_build_of_the_transposed_order(flag_corpus):
+    """dual swaps L's tables; building the transposed order from scratch agrees."""
+    for L in flag_corpus:
+        D = dual(L)
+        fresh = _finalize(D.name, L.labels, L.geq)
+        for field in dataclasses.fields(D):
+            assert getattr(D, field.name) == getattr(fresh, field.name), (L, field.name)
+        for flag in ("is_lattice", "is_bounded", "is_modular", "is_distributive"):
+            assert getattr(D, flag) == getattr(fresh, flag), (L, flag)
+
+
+def test_op_is_the_cached_dual(bare_posets):
+    for L in catalog() + list(bare_posets):
+        assert L.op is L.op
+        assert L.op == dual(L)
+        assert L.op.op is L
 
 
 def test_dual_is_involution():

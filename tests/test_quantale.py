@@ -4,16 +4,19 @@ import pytest
 
 from ordbench import (
     InvalidModulus,
+    NotAdjoint,
     NotAssociative,
     NotBounded,
     NotCommutative,
     NotJoinPreserving,
+    Quantale,
+    SizeBoundExceeded,
     build_poset,
     build_quantale,
     catalog_named,
+    divisor_lattice,
     element_connection,
     eval_law,
-    find_right_adjoint,
     is_principal,
     is_weak_principal,
     residual,
@@ -123,12 +126,35 @@ def test_element_connection_examples(z12, frame3):
     assert ec_m.left.values == (0, 1, 1)
 
 
-def test_element_connection_right_adjoint_matches_search(z12, frame3):
-    # independent route: find_right_adjoint on the relation vs the residual table
-    for q in (z12, frame3):
-        for e in range(q.lattice.size):
+def test_element_connection_right_adjoint_is_the_residual_table(frame3, b2):
+    # independent route: each residual a:e as the join of every c with c*e <= a
+    quantales = [zn_ideal_quantale(n) for n in (*range(2, 61), 360, 55440)]
+    quantales += [frame3, build_quantale(b2, b2.meet)]
+    for q in quantales:
+        n = q.lattice.size
+        for e in range(n):
             ec = element_connection(q, e)
-            assert find_right_adjoint(ec.conn).values == ec.right.values
+            assert ec.right.values == tuple(residual(q, a, e) for a in range(n)), (q, e)
+
+
+def test_element_connection_without_right_adjoint_raises(c3):
+    # multiplication by constant top: only top lies above its image, so no
+    # column of its relation is a down-set of C3
+    q = Quantale(c3, ((2, 2, 2),) * 3, None)
+    with pytest.raises(NotAdjoint):
+        element_connection(q, 0)
+
+
+def test_zn_lattice_is_the_divisor_lattice():
+    for n in (2, 12, 97, 360, 1024):
+        assert zn_ideal_quantale(n).lattice == divisor_lattice(n)
+
+
+def test_zn_size_bounds():
+    with pytest.raises(SizeBoundExceeded, match="exceeds the bound"):
+        zn_ideal_quantale(10**18)
+    with pytest.raises(SizeBoundExceeded, match="288 divisors"):
+        zn_ideal_quantale(1441440)
 
 
 def test_every_z12_element_is_principal(z12):
