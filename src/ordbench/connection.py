@@ -12,7 +12,6 @@ f(x) and column y of R is the principal down-set of g(y).  A left adjoint
 therefore exists exactly when every row of R is a row of Q's order table,
 and a right adjoint exactly when every column of R is a column of P's; each
 adjoint value is one lookup of a row (column), with nothing left to verify.
-A quantale's residuals are the right adjoints found this way.
 
 The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the

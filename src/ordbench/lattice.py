@@ -115,6 +115,7 @@ class FiniteLattice:
 
     @cached_property
     def op(self) -> "FiniteLattice":
+        """The dual poset, the same object as ``dual(self)``."""
         return dual(self)
 
     def __repr__(self) -> str:
@@ -262,10 +263,15 @@ def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, st
 
 
 def dual(L: FiniteLattice) -> FiniteLattice:
-    """The opposite poset: L's own tables with order, bottom/top and meet/join swapped."""
-    name = L.name[:-3] if L.name.endswith("^op") else L.name + "^op"
-    D = FiniteLattice(name, L.labels, L.geq, L.join, L.meet, L.top, L.bottom)
-    D.__dict__["op"] = L  # fills D's cached op: the dual of D is L
+    """The opposite poset: L's own tables with order, bottom/top and meet/join swapped.
+
+    Built once per lattice: ``dual(L) is L.op`` and ``dual(dual(L)) is L``.
+    """
+    D = L.__dict__.get("op")  # where the cached property ``op`` keeps it
+    if D is None:
+        name = L.name[:-3] if L.name.endswith("^op") else L.name + "^op"
+        D = FiniteLattice(name, L.labels, L.geq, L.join, L.meet, L.top, L.bottom)
+        L.__dict__["op"], D.__dict__["op"] = D, L
     return D
 
 

@@ -7,8 +7,7 @@ by a fixed element is then a left adjoint whose right adjoint is the
 residual a:e, the largest c with c*e <= a; this is the bridge to the
 connection laws: an element is principal exactly when its multiplication
 connection satisfies both reciprocity laws, and weakly principal when it
-satisfies both modular-connection laws.  The connection layer's column
-lookup finds the residual table as that right adjoint.
+satisfies both modular-connection laws.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidModulus,
-    NotAdjoint,
     NotAssociative,
     NotBounded,
     NotCommutative,
@@ -29,7 +27,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .lattice import FiniteLattice, MonotoneMap, _divisor_order, _divisors
-from .connection import AdjointConnection, left_adjoint_connection
+from .connection import AdjointConnection, Connection
 from .laws import LawReport, Witness, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
@@ -138,7 +136,7 @@ def zn_ideal_quantale(n: int) -> Quantale:
 
 
 def residual(q: Quantale, a: int, e: int) -> int:
-    """The largest c with c*e <= a, as a join; the tests' check of element_connection."""
+    """The largest c with c*e <= a, computed as the join of all such c."""
     L = q.lattice
     L.check_element(a)
     L.check_element(e)
@@ -152,15 +150,17 @@ def residual(q: Quantale, a: int, e: int) -> int:
 def element_connection(q: Quantale, e: int) -> AdjointConnection:
     """The adjoint connection of multiplication by e.
 
-    Left map b -> b*e; its right adjoint a -> a:e is looked up by
-    left_adjoint_connection, and NotAdjoint raised if there is none.
+    Left map b -> b*e, right map a -> a:e; the Galois biconditional is
+    verified on construction, so the result plugs straight into the law
+    evaluators.
     """
     L = q.lattice
     L.check_element(e)
-    ac = left_adjoint_connection(MonotoneMap(L, L, tuple(q.mult[b][e] for b in range(L.size))))
-    if ac.right is None:
-        raise NotAdjoint(f"multiplication by {L.labels[e]} has no right adjoint")
-    return ac
+    n = L.size
+    left_vals = tuple(q.mult[b][e] for b in range(n))
+    right_vals = tuple(residual(q, a, e) for a in range(n))
+    conn = Connection(L, L, tuple(L.leq[v] for v in left_vals))
+    return AdjointConnection(conn, MonotoneMap(L, L, left_vals), MonotoneMap(L, L, right_vals))
 
 
 def _principal_law_report(law_id, labels, vars_, failure):
@@ -186,12 +186,12 @@ def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
 
     The element is principal iff both hold.  The same pair of verdicts must
     come out of the reciprocity laws LF0/RF0 evaluated on the multiplication
-    connection, whose right adjoint supplies the residuals a:e; that
-    equivalence is asserted here as a cross-check.
+    connection; that equivalence is asserted here as a cross-check.
     """
     L = q.lattice
-    ec = element_connection(q, e)
-    n, meet, join, mult, res = L.size, L.meet, L.join, q.mult, ec.right.values
+    L.check_element(e)
+    n, meet, join, mult = L.size, L.meet, L.join, q.mult
+    res = [residual(q, x, e) for x in range(n)]
 
     failure_i = None
     for c in range(n):
@@ -217,6 +217,7 @@ def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
     report_i = _principal_law_report("principal-i", L.labels, ("c", "d"), failure_i)
     report_ii = _principal_law_report("principal-ii", L.labels, ("a", "b"), failure_ii)
 
+    ec = element_connection(q, e)
     lf0 = eval_law("LF0", ec)
     rf0 = eval_law("RF0", ec)
     if lf0.holds != report_i.holds or rf0.holds != report_ii.holds:
