@@ -114,6 +114,22 @@ class FiniteLattice:
         return tuple(zip(*self.leq))
 
     @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        """Each element's down-set as an int mask: bit c of ``down_masks[a]`` iff c <= a."""
+        return tuple(map(_mask, self.geq))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs (a, b): a < b with no element strictly between."""
+        down = self.down_masks
+        return tuple(
+            (a, b)
+            for a, up in enumerate(map(_mask, self.leq))
+            for b in range(self.size)
+            if a != b and up & down[b] == 1 << a | 1 << b
+        )
+
+    @cached_property
     def op(self) -> "FiniteLattice":
         """The dual poset, the same object as ``dual(self)``."""
         return dual(self)
@@ -124,7 +140,13 @@ class FiniteLattice:
 
 @dataclass(frozen=True, repr=False)
 class MonotoneMap:
-    """An order-preserving map, stored as a value table over source indices."""
+    """An order-preserving map, stored as a value table over source indices.
+
+    A map on a finite poset is monotone iff it preserves every covering
+    pair, since each a <= b is a chain of covers; so construction checks the
+    source's cached covers, and scans all pairs only to name the first one
+    that fails.
+    """
 
     source: FiniteLattice
     target: FiniteLattice
@@ -138,13 +160,15 @@ class MonotoneMap:
         for v in self.values:
             if not 0 <= v < self.target.size:
                 raise IndexOutOfRange(f"map value {v} outside target of size {self.target.size}")
-        leq_s, leq_t = self.source.leq, self.target.leq
+        leq_s, leq_t, values = self.source.leq, self.target.leq, self.values
+        if all(leq_t[values[a]][values[b]] for a, b in self.source.covers):
+            return
         for a in range(self.source.size):
             for b in range(self.source.size):
-                if leq_s[a][b] and not leq_t[self.values[a]][self.values[b]]:
+                if leq_s[a][b] and not leq_t[values[a]][values[b]]:
                     raise NotMonotone(
                         f"{self.source.labels[a]} <= {self.source.labels[b]} but "
-                        f"{self.target.labels[self.values[a]]} !<= {self.target.labels[self.values[b]]}"
+                        f"{self.target.labels[values[a]]} !<= {self.target.labels[values[b]]}"
                     )
 
     def __call__(self, x: int) -> int:
@@ -218,10 +242,14 @@ def _bounds(down: Sequence[int], up: Sequence[int]):
     return by_up.get(full), by_down.get(full), meet, join
 
 
+def _mask(row: Sequence[bool]) -> int:
+    """The int whose bit c is set iff ``row[c]``."""
+    return sum(1 << c for c, x in enumerate(row) if x)
+
+
 def _finalize(name, labels, leq) -> FiniteLattice:
-    n = len(labels)
-    down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
-    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    down = [_mask(col) for col in zip(*leq)]
+    up = [_mask(row) for row in leq]
     bottom, top, meet, join = _bounds(down, up)
     return FiniteLattice(name, labels, leq, meet, join, bottom, top)
 

@@ -3,10 +3,20 @@
 Eighteen laws are recognised: LM0..LM5 and RM0..RM5 (the modular-connection
 family), LF0/LF1/LF2 and RF0/RF1/RF2 (the reciprocity family).  Each law is
 a universally quantified statement about an adjoint connection; evaluation
-checks every case, and a failing law always carries a witness with both
+decides every case, and a failing law always carries a witness with both
 evaluated sides so it can be reproduced independently.  The witness is the
 first failing assignment in the lexicographic order of the law's own
-variables.
+variables.  It is a record of element indices; labels are looked up only
+when it is read or printed.
+
+Each left-hand law is evaluated by one kernel, a single pass over the
+connection's tables that returns the first failing case in that order.
+LF0 compares whole rows of meets and looks for the failing cell only in a
+row that differs; LM1, LF1 and LF2 compare int masks of Q's down-sets with
+masks of f's images; the other laws are nested loops with no call per
+case.  A per-law check evaluates one case, so ``recheck_witness`` can
+reproduce a witness.  The tests keep the case-by-case scan of every law in
+``tests/oracles.py``, as the kernels' oracle.
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 on the opposite connection Q.op -> P.op between the cached duals, whose left
@@ -22,7 +32,10 @@ every other law needs the full adjoint pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -53,18 +66,35 @@ LAW_IDS = (
 
 @dataclass(frozen=True)
 class Witness:
-    """A falsifying assignment together with both evaluated sides.
+    """A falsifying assignment together with both evaluated sides, as indices.
 
-    ``lhs``/``rhs`` are element indices of the law's value poset, or None
-    when a side denotes a bound or preimage that does not exist.
+    ``indices`` follow ``vars``; ``lhs``/``rhs`` are element indices of the
+    law's value poset, or None when a side denotes a bound or preimage that
+    does not exist.  Labels are looked up only when read: ``var_labels``
+    holds, per variable, the labels of the poset it ranges over, and
+    ``value_labels`` those of the value poset.
     """
 
-    assignment: tuple[tuple[str, str], ...]
+    vars: tuple[str, ...]
     indices: tuple[int, ...]
     lhs: Optional[int]
     rhs: Optional[int]
-    lhs_label: str
-    rhs_label: str
+    var_labels: tuple[tuple[str, ...], ...] = field(repr=False)
+    value_labels: tuple[str, ...] = field(repr=False)
+
+    @property
+    def assignment(self) -> tuple[tuple[str, str], ...]:
+        return tuple(
+            (var, labels[i]) for var, labels, i in zip(self.vars, self.var_labels, self.indices)
+        )
+
+    @property
+    def lhs_label(self) -> str:
+        return self.value_labels[self.lhs] if self.lhs is not None else "absent"
+
+    @property
+    def rhs_label(self) -> str:
+        return self.value_labels[self.rhs] if self.rhs is not None else "absent"
 
     def render(self) -> str:
         parts = [f"{var}={lab}" for var, lab in self.assignment]
@@ -97,36 +127,29 @@ class _LawDef:
     needs_right: bool
     requires: tuple[str, ...]
     context: Callable  # adjoint connection -> context of the evaluated connection
-    prep: Callable  # adds a law's own tables to the context
-    cases: Callable
-    check: Callable
+    first_failure: Callable  # context -> first failing (case, lhs, rhs), or None
+    check: Callable  # (context, case) -> (ok, lhs, rhs) at one case
     reverse: bool  # a case lists the law's variables in reverse order
     swap: bool  # a case's (lhs, rhs) are the law's (rhs, lhs)
 
 
-_STRUCTURE_REASONS = {
-    "topP": "P has no top",
-    "botQ": "Q has no bottom",
-    "meetsP": "P lacks binary meets",
-    "meetsQ": "Q lacks binary meets",
-    "joinsP": "P lacks binary joins",
-    "joinsQ": "Q lacks binary joins",
+# requirement -> (skip reason, whether the posets P, Q of the connection meet it)
+_STRUCTURE = {
+    "topP": ("P has no top", lambda P, Q: P.top is not None),
+    "botQ": ("Q has no bottom", lambda P, Q: Q.bottom is not None),
+    "meetsP": ("P lacks binary meets", lambda P, Q: P.has_binary_meets),
+    "meetsQ": ("Q lacks binary meets", lambda P, Q: Q.has_binary_meets),
+    "joinsP": ("P lacks binary joins", lambda P, Q: P.has_binary_joins),
+    "joinsQ": ("Q lacks binary joins", lambda P, Q: Q.has_binary_joins),
 }
 
 
 def _missing_structure(ac: AdjointConnection, requires) -> Optional[str]:
     P, Q = ac.source, ac.target
     for req in requires:
-        present = {
-            "topP": P.top is not None,
-            "botQ": Q.bottom is not None,
-            "meetsP": P.has_binary_meets,
-            "meetsQ": Q.has_binary_meets,
-            "joinsP": P.has_binary_joins,
-            "joinsQ": Q.has_binary_joins,
-        }[req]
-        if not present:
-            return _STRUCTURE_REASONS[req]
+        reason, present = _STRUCTURE[req]
+        if not present(P, Q):
+            return reason
     return None
 
 
@@ -136,9 +159,8 @@ def _context(P: FiniteLattice, Q: FiniteLattice, left, right) -> SimpleNamespace
         P=P, Q=Q,
         f=left.values if left is not None else None,
         g=right.values if right is not None else None,
-        leqP=P.leq, leqQ=Q.leq,
-        meetP=P.meet, joinP=P.join, meetQ=Q.meet, joinQ=Q.join,
-        n=P.size, m=Q.size, topP=P.top, botQ=Q.bottom,
+        leqP=P.leq, leqQ=Q.leq, meetP=P.meet, meetQ=Q.meet,
+        n=P.size, m=Q.size, topP=P.top,
     )
 
 
@@ -151,32 +173,32 @@ def _opposite_ctx(ac: AdjointConnection) -> SimpleNamespace:
     return _context(ac.target.op, ac.source.op, ac.right, ac.left)
 
 
-def _no_prep(ctx):
-    return ctx
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
-def _image(ctx):
-    ctx.image = frozenset(ctx.f)
-    return ctx
-
-
-def _down_images(ctx):
-    # ctx.down_img[b] = image under f of everything below b
-    ctx.down_img = [
-        frozenset(ctx.f[a] for a in range(ctx.n) if ctx.leqP[a][b]) for b in range(ctx.n)
-    ]
-    return ctx
+def _down_image(ctx, b) -> set:
+    """The image under f of everything below b."""
+    return {ctx.f[a] for a in range(ctx.n) if ctx.leqP[a][b]}
 
 
 # ---------------------------------------------------------------------------
-# The law table.  Each left-hand law contributes a case iterator (assignments
-# in ascending index order, so the first witness is deterministic) and a
-# check returning (ok, lhs, rhs).  Each right-hand law is a left-hand law
-# evaluated on the opposite connection.
+# The law table.  Each left-hand law has a kernel that returns its first
+# failing case (case, lhs, rhs), visiting the assignments in ascending index
+# order, or None; and a check that evaluates one case as (ok, lhs, rhs), so a
+# witness can be rechecked.  Each right-hand law is a left-hand law evaluated
+# on the opposite connection.  The tests keep a case-by-case scan of every
+# law as the kernels' oracle.
 
 
-def _lm0_cases(ctx):
-    return ((y,) for y in range(ctx.m))
+def _lm0_first_failure(ctx):
+    f, g, meetQ = ctx.f, ctx.g, ctx.meetQ
+    ftop = f[ctx.topP]
+    for y in range(ctx.m):
+        lhs, rhs = f[g[y]], meetQ[y][ftop]
+        if lhs != rhs:
+            return (y,), lhs, rhs
+    return None
 
 
 def _lm0_check(ctx, case):
@@ -186,20 +208,32 @@ def _lm0_check(ctx, case):
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _lm1_cases(ctx):
-    return (
-        (b, c) for b in range(ctx.n) for c in range(ctx.m) if ctx.leqQ[c][ctx.f[b]]
-    )
+def _lm1_first_failure(ctx):
+    # Case (b, c) with c <= f(b) fails when c is no value of f.
+    down, image = ctx.Q.down_masks, reduce(or_, map((1).__lshift__, ctx.f), 0)
+    for b, y in enumerate(ctx.f):
+        missing = down[y] & ~image
+        if missing:
+            c = _low_bit(missing)
+            return (b, c), c, None
+    return None
 
 
 def _lm1_check(ctx, case):
     b, c = case
-    ok = c in ctx.image
+    ok = c in ctx.f
     return (ok, c, c if ok else None)
 
 
-def _lm2_cases(ctx):
-    return ((c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.leqQ[c][d])
+def _lm2_first_failure(ctx):
+    f, g, leqQ, meetQ = ctx.f, ctx.g, ctx.leqQ, ctx.meetQ
+    fg = tuple(map(f.__getitem__, g))
+    for c in range(ctx.m):
+        above, meet_c, lhs = leqQ[c], meetQ[c], fg[c]
+        for d in range(ctx.m):
+            if above[d] and meet_c[fg[d]] != lhs:
+                return (c, d), lhs, meet_c[fg[d]]
+    return None
 
 
 def _lm2_check(ctx, case):
@@ -209,10 +243,16 @@ def _lm2_check(ctx, case):
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _lm3_cases(ctx):
-    return (
-        (c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.meetQ[c][d] is not None
-    )
+def _lm3_first_failure(ctx):
+    f, g, meetQ = ctx.f, ctx.g, ctx.meetQ
+    fg = tuple(map(f.__getitem__, g))
+    for c in range(ctx.m):
+        meet_c = meetQ[c]
+        for d in range(ctx.m):
+            k = meet_c[d]
+            if k is not None and fg[k] != meet_c[fg[d]]:
+                return (c, d), fg[k], meet_c[fg[d]]
+    return None
 
 
 def _lm3_check(ctx, case):
@@ -222,8 +262,19 @@ def _lm3_check(ctx, case):
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _lm4_cases(ctx):
-    return ((c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.g[c] == ctx.g[d])
+def _meets_with_ftop(ctx):
+    """c ^ f(top) for every c in Q."""
+    ftop = ctx.f[ctx.topP]
+    return [row[ftop] for row in ctx.meetQ]
+
+
+def _lm4_first_failure(ctx):
+    g, low = ctx.g, _meets_with_ftop(ctx)
+    for c in range(ctx.m):
+        for d in range(ctx.m):
+            if g[c] == g[d] and low[c] != low[d]:
+                return (c, d), low[c], low[d]
+    return None
 
 
 def _lm4_check(ctx, case):
@@ -234,10 +285,14 @@ def _lm4_check(ctx, case):
     return (lhs == rhs, lhs, rhs)
 
 
-def _lm5_cases(ctx):
-    return (
-        (c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.leqP[ctx.g[c]][ctx.g[d]]
-    )
+def _lm5_first_failure(ctx):
+    g, leqP, leqQ, low = ctx.g, ctx.leqP, ctx.leqQ, _meets_with_ftop(ctx)
+    for c in range(ctx.m):
+        below_g, above_low = leqP[g[c]], leqQ[low[c]]
+        for d in range(ctx.m):
+            if below_g[g[d]] and not above_low[d]:
+                return (c, d), low[c], d
+    return None
 
 
 def _lm5_check(ctx, case):
@@ -246,8 +301,19 @@ def _lm5_check(ctx, case):
     return (ctx.leqQ[lhs][d], lhs, d)
 
 
-def _lf0_cases(ctx):
-    return ((b, c) for b in range(ctx.n) for c in range(ctx.m))
+def _lf0_first_failure(ctx):
+    # Row b holds c ^ f(b) and f(g(c) ^ b) for every c; meets commute, so
+    # the first is row f(b) of Q's meet table, and the second reads row b
+    # of P's.  A cell is sought only in a row that differs.
+    f, g, meetP, meetQ = ctx.f, ctx.g, ctx.meetP, ctx.meetQ
+    at_f = f.__getitem__
+    for b in range(ctx.n):
+        lhs = meetQ[f[b]]
+        rhs = tuple(map(at_f, map(meetP[b].__getitem__, g)))
+        if lhs != rhs:
+            c = next(c for c in range(ctx.m) if lhs[c] != rhs[c])
+            return (b, c), lhs[c], rhs[c]
+    return None
 
 
 def _lf0_check(ctx, case):
@@ -257,59 +323,70 @@ def _lf0_check(ctx, case):
     return (lhs == rhs, lhs, rhs)
 
 
-def _lf1_cases(ctx):
-    return (
-        (b, c) for b in range(ctx.n) for c in range(ctx.m) if ctx.leqQ[c][ctx.f[b]]
-    )
+def _down_image_masks(ctx) -> list[int]:
+    """Per b, the image under f of everything below b, as a mask over Q."""
+    bits = tuple(map((1).__lshift__, ctx.f))
+    return [reduce(or_, compress(bits, below), 0) for below in ctx.P.geq]
+
+
+def _lf1_first_failure(ctx):
+    # Case (b, c) with c <= f(b) fails when c is no f(a) with a <= b.
+    down = ctx.Q.down_masks
+    for b, (y, image) in enumerate(zip(ctx.f, _down_image_masks(ctx))):
+        missing = down[y] & ~image
+        if missing:
+            c = _low_bit(missing)
+            return (b, c), c, None
+    return None
 
 
 def _lf1_check(ctx, case):
     b, c = case
-    ok = c in ctx.down_img[b]
+    ok = c in _down_image(ctx, b)
     return (ok, c, c if ok else None)
 
 
-def _lf2_cases(ctx):
-    leqP, leqQ, f = ctx.leqP, ctx.leqQ, ctx.f
-    return (
-        (a, b, c)
-        for a in range(ctx.n)
-        for b in range(ctx.n)
-        if leqP[b][a]
-        for c in range(ctx.m)
-        if leqQ[c][f[b]]
-    )
+def _lf2_first_failure(ctx):
+    # Case (a, b, c) with b <= a and c <= f(b) fails when c is no f(x) with x <= a.
+    f, leqP, down, images = ctx.f, ctx.leqP, ctx.Q.down_masks, _down_image_masks(ctx)
+    for a in range(ctx.n):
+        for b in range(ctx.n):
+            if leqP[b][a]:
+                missing = down[f[b]] & ~images[a]
+                if missing:
+                    c = _low_bit(missing)
+                    return (a, b, c), c, None
+    return None
 
 
 def _lf2_check(ctx, case):
     a, b, c = case
-    ok = c in ctx.down_img[a]
+    ok = c in _down_image(ctx, a)
     return (ok, c, c if ok else None)
 
 
-def _law(law_id, vars_, var_sides, requires=(), needs_left=True,
-         needs_right=True, prep=_no_prep, cases=None, check=None):
-    return _LawDef(law_id, vars_, var_sides, needs_left, needs_right,
-                   tuple(requires), _own_ctx, prep, cases, check, False, False)
+def _law(law_id, vars_, var_sides, first_failure, check, requires=(),
+         needs_left=True, needs_right=True):
+    return _LawDef(law_id, vars_, var_sides, needs_left, needs_right, tuple(requires),
+                   _own_ctx, first_failure, check, False, False)
 
 
 LAW_TABLE = {
     law.id: law
     for law in (
-        _law("LM0", ("y",), "Q", requires=("topP",), cases=_lm0_cases, check=_lm0_check),
-        _law("LM1", ("b", "c"), "PQ", prep=_image, cases=_lm1_cases, check=_lm1_check),
-        _law("LM2", ("c", "d"), "QQ", cases=_lm2_cases, check=_lm2_check),
-        _law("LM3", ("c", "d"), "QQ", cases=_lm3_cases, check=_lm3_check),
-        _law("LM4", ("c", "d"), "QQ", requires=("topP", "meetsQ"),
-             cases=_lm4_cases, check=_lm4_check),
-        _law("LM5", ("c", "d"), "QQ", requires=("topP", "meetsQ"),
-             cases=_lm5_cases, check=_lm5_check),
-        _law("LF0", ("b", "c"), "PQ", requires=("meetsP", "meetsQ"),
-             cases=_lf0_cases, check=_lf0_check),
-        _law("LF1", ("b", "c"), "PQ", needs_right=False,
-             prep=_down_images, cases=_lf1_cases, check=_lf1_check),
-        _law("LF2", ("a", "b", "c"), "PPQ", needs_right=False,
-             prep=_down_images, cases=_lf2_cases, check=_lf2_check),
+        _law("LM0", ("y",), "Q", _lm0_first_failure, _lm0_check, requires=("topP",)),
+        _law("LM1", ("b", "c"), "PQ", _lm1_first_failure, _lm1_check),
+        _law("LM2", ("c", "d"), "QQ", _lm2_first_failure, _lm2_check),
+        _law("LM3", ("c", "d"), "QQ", _lm3_first_failure, _lm3_check),
+        _law("LM4", ("c", "d"), "QQ", _lm4_first_failure, _lm4_check,
+             requires=("topP", "meetsQ")),
+        _law("LM5", ("c", "d"), "QQ", _lm5_first_failure, _lm5_check,
+             requires=("topP", "meetsQ")),
+        _law("LF0", ("b", "c"), "PQ", _lf0_first_failure, _lf0_check,
+             requires=("meetsP", "meetsQ")),
+        _law("LF1", ("b", "c"), "PQ", _lf1_first_failure, _lf1_check, needs_right=False),
+        _law("LF2", ("a", "b", "c"), "PPQ", _lf2_first_failure, _lf2_check,
+             needs_right=False),
     )
 }
 
@@ -319,32 +396,54 @@ def _opposite_law(law_id, base_id, vars_, requires=(), reorder=None, swap=False)
 
     The variables are the base law's, renamed; ``requires`` is the law's
     own, so skip reasons name the law's own posets.  A law whose two
-    variables are the base law's in reverse passes ``reorder``, which
-    visits the base law's assignments in this law's lexicographic order.
-    ``swap`` marks a base inequality, which reverses: its lhs is this
-    law's rhs.
+    variables are the base law's in reverse passes ``reorder``, a kernel
+    that visits the base law's assignments in this law's lexicographic
+    order.  ``swap`` marks a base inequality, which reverses: its lhs is
+    this law's rhs.
     """
     base = LAW_TABLE[base_id]
     return _LawDef(law_id, vars_, base.var_sides, base.needs_right, base.needs_left,
-                   tuple(requires), _opposite_ctx, base.prep, reorder or base.cases,
+                   tuple(requires), _opposite_ctx, reorder or base.first_failure,
                    base.check, reorder is not None, swap)
 
 
-# A base law's assignments in the lexicographic order of its variables
-# reversed, which is the order of the right-hand law's own variables:
-# RM2 and RM5 at (a, b) are LM2 and LM5 at c=b, d=a; RF0 at (a, c) is LF0
-# at b=c, c=a.
-def _lm2_cases_reversed(ctx):
-    return ((c, d) for d in range(ctx.m) for c in range(ctx.m) if ctx.leqQ[c][d])
+# Kernels visiting a base law's assignments in the lexicographic order of its
+# variables reversed, which is the order of the right-hand law's own
+# variables: RM2 and RM5 at (a, b) are LM2 and LM5 at c=b, d=a; RF0 at (a, c)
+# is LF0 at b=c, c=a.
+def _lm2_first_failure_reversed(ctx):
+    f, g, leqQ, meetQ = ctx.f, ctx.g, ctx.leqQ, ctx.meetQ
+    fg = tuple(map(f.__getitem__, g))
+    for d in range(ctx.m):
+        fgd = fg[d]
+        for c in range(ctx.m):
+            if leqQ[c][d] and meetQ[c][fgd] != fg[c]:
+                return (c, d), fg[c], meetQ[c][fgd]
+    return None
 
 
-def _lm5_cases_reversed(ctx):
-    g, leqP = ctx.g, ctx.leqP
-    return ((c, d) for d in range(ctx.m) for c in range(ctx.m) if leqP[g[c]][g[d]])
+def _lm5_first_failure_reversed(ctx):
+    g, leqP, leqQ, low = ctx.g, ctx.leqP, ctx.leqQ, _meets_with_ftop(ctx)
+    for d in range(ctx.m):
+        gd = g[d]
+        for c in range(ctx.m):
+            if leqP[g[c]][gd] and not leqQ[low[c]][d]:
+                return (c, d), low[c], d
+    return None
 
 
-def _lf0_cases_reversed(ctx):
-    return ((b, c) for c in range(ctx.m) for b in range(ctx.n))
+def _lf0_first_failure_reversed(ctx):
+    # Column c holds c ^ f(b) and f(g(c) ^ b) for every b: f read through
+    # row c of Q's meet table, and row g(c) of P's read through f.
+    f, g, meetP, meetQ = ctx.f, ctx.g, ctx.meetP, ctx.meetQ
+    at_f = f.__getitem__
+    for c in range(ctx.m):
+        lhs = tuple(map(meetQ[c].__getitem__, f))
+        rhs = tuple(map(at_f, meetP[g[c]]))
+        if lhs != rhs:
+            b = next(b for b in range(ctx.n) if lhs[b] != rhs[b])
+            return (b, c), lhs[b], rhs[b]
+    return None
 
 
 LAW_TABLE.update(
@@ -352,37 +451,29 @@ LAW_TABLE.update(
     for law in (
         _opposite_law("RM0", "LM0", ("x",), requires=("botQ",)),
         _opposite_law("RM1", "LM1", ("c", "b")),
-        _opposite_law("RM2", "LM2", ("a", "b"), reorder=_lm2_cases_reversed),
+        _opposite_law("RM2", "LM2", ("a", "b"), reorder=_lm2_first_failure_reversed),
         _opposite_law("RM3", "LM3", ("a", "b")),
         _opposite_law("RM4", "LM4", ("a", "b"), requires=("joinsP", "botQ")),
         _opposite_law("RM5", "LM5", ("a", "b"), requires=("joinsP", "botQ"),
-                      reorder=_lm5_cases_reversed, swap=True),
+                      reorder=_lm5_first_failure_reversed, swap=True),
         _opposite_law("RF0", "LF0", ("a", "c"), requires=("joinsP", "joinsQ"),
-                      reorder=_lf0_cases_reversed),
+                      reorder=_lf0_first_failure_reversed),
         _opposite_law("RF1", "LF1", ("c", "b")),
         _opposite_law("RF2", "LF2", ("c", "d", "b")),
     )
 )
 
 
-def _render_witness(law: _LawDef, ctx, case, lhs, rhs) -> Witness:
+def _witness(law: _LawDef, ctx, case, lhs, rhs) -> Witness:
     # A dual poset keeps the labels of the original, so a right-hand law's
     # case is labelled from the posets of the connection it was evaluated on.
-    labels = {"P": ctx.P.labels, "Q": ctx.Q.labels}
-    names = tuple(labels[side][idx] for side, idx in zip(law.var_sides, case))
-    indices = tuple(case)
+    sides = {"P": ctx.P.labels, "Q": ctx.Q.labels}
+    labels = tuple(sides[side] for side in law.var_sides)
     if law.reverse:
-        names, indices = names[::-1], indices[::-1]
+        case, labels = case[::-1], labels[::-1]
     if law.swap:
         lhs, rhs = rhs, lhs
-    return Witness(
-        assignment=tuple(zip(law.vars, names)),
-        indices=indices,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_label=labels["Q"][lhs] if lhs is not None else "absent",
-        rhs_label=labels["Q"][rhs] if rhs is not None else "absent",
-    )
+    return Witness(law.vars, case, lhs, rhs, labels, ctx.Q.labels)
 
 
 def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
@@ -402,19 +493,18 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     reason = _missing_structure(ac, law.requires)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
-    ctx = law.prep(law.context(ac))
-    for case in law.cases(ctx):
-        ok, lhs, rhs = law.check(ctx, case)
-        if not ok:
-            return LawReport(law_id, False, _render_witness(law, ctx, case, lhs, rhs), None)
-    return LawReport(law_id, True, None, None)
+    ctx = law.context(ac)
+    failure = law.first_failure(ctx)
+    if failure is None:
+        return LawReport(law_id, True, None, None)
+    return LawReport(law_id, False, _witness(law, ctx, *failure), None)
 
 
 def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
     """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
     law = LAW_TABLE[law_id]
     case = witness.indices[::-1] if law.reverse else witness.indices
-    ok, lhs, rhs = law.check(law.prep(law.context(ac)), case)
+    ok, lhs, rhs = law.check(law.context(ac), case)
     return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
 
 

@@ -167,14 +167,7 @@ def _principal_law_report(law_id, labels, vars_, failure):
     if failure is None:
         return LawReport(law_id, True, None, None)
     case, lhs, rhs = failure
-    witness = Witness(
-        assignment=tuple((v, labels[i]) for v, i in zip(vars_, case)),
-        indices=case,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_label=labels[lhs],
-        rhs_label=labels[rhs],
-    )
+    witness = Witness(vars_, case, lhs, rhs, (labels,) * len(vars_), labels)
     return LawReport(law_id, False, witness, None)
 
 

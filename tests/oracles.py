@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the test modules."""
 
-from ordbench import Connection, SizeBoundExceeded
+from ordbench import Connection, NotMonotone, SizeBoundExceeded
+from ordbench.laws import LAW_TABLE
 
 
 def enumerate_connections(P, Q):
@@ -81,3 +82,96 @@ def distributive_by_tables(L):
         for b in range(n)
         for c in range(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# Law evaluation case by case: the oracle of the law kernels.  Each base law
+# lists its assignments in ascending index order; a right-hand law visits its
+# base law's assignments on the opposite connection, in the lexicographic
+# order of its own variables.
+
+
+def _lm0_cases(ctx):
+    return ((y,) for y in range(ctx.m))
+
+
+def _lm1_cases(ctx):
+    return ((b, c) for b in range(ctx.n) for c in range(ctx.m) if ctx.leqQ[c][ctx.f[b]])
+
+
+def _lm2_cases(ctx):
+    return ((c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.leqQ[c][d])
+
+
+def _lm3_cases(ctx):
+    return ((c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.meetQ[c][d] is not None)
+
+
+def _lm4_cases(ctx):
+    return ((c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.g[c] == ctx.g[d])
+
+
+def _lm5_cases(ctx):
+    return (
+        (c, d) for c in range(ctx.m) for d in range(ctx.m) if ctx.leqP[ctx.g[c]][ctx.g[d]]
+    )
+
+
+def _lf0_cases(ctx):
+    return ((b, c) for b in range(ctx.n) for c in range(ctx.m))
+
+
+def _lf2_cases(ctx):
+    leqP, leqQ, f = ctx.leqP, ctx.leqQ, ctx.f
+    return (
+        (a, b, c)
+        for a in range(ctx.n)
+        for b in range(ctx.n)
+        if leqP[b][a]
+        for c in range(ctx.m)
+        if leqQ[c][f[b]]
+    )
+
+
+# The case iterator of each base law, keyed by the suffix that a left-hand
+# law and its right-hand twin share: RMk/RFk visit the cases of LMk/LFk.
+# LF1 ranges over the same pairs c <= f(b) as LM1.
+BASE_CASES = {
+    "M0": _lm0_cases, "M1": _lm1_cases, "M2": _lm2_cases, "M3": _lm3_cases,
+    "M4": _lm4_cases, "M5": _lm5_cases,
+    "F0": _lf0_cases, "F1": _lm1_cases, "F2": _lf2_cases,
+}
+
+
+def case_scan(law_id, ac):
+    """A law's first failure by checking every case in turn, or None if it holds.
+
+    Returns (indices, lhs, rhs) as the law's witness lists them: indices in
+    the order of the law's own variables, and lhs/rhs its own sides.  The
+    caller makes sure the law is not skipped on ac.
+    """
+    law = LAW_TABLE[law_id]
+    ctx = law.context(ac)
+    cases = BASE_CASES[law_id[1:]](ctx)
+    if law.reverse:
+        cases = sorted(cases, key=lambda case: case[::-1])
+    for case in cases:
+        ok, lhs, rhs = law.check(ctx, case)
+        if not ok:
+            if law.reverse:
+                case = case[::-1]
+            if law.swap:
+                lhs, rhs = rhs, lhs
+            return tuple(case), lhs, rhs
+    return None
+
+
+def monotone_scan(source, target, values):
+    """Raise NotMonotone at the first pair a <= b, in index order, with f(a) !<= f(b)."""
+    for a in range(source.size):
+        for b in range(source.size):
+            if source.leq[a][b] and not target.leq[values[a]][values[b]]:
+                raise NotMonotone(
+                    f"{source.labels[a]} <= {source.labels[b]} but "
+                    f"{target.labels[values[a]]} !<= {target.labels[values[b]]}"
+                )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,12 @@ from ordbench import (
 from ordbench.lattice import _finalize
 from ordbench.posetgen import generated_lattices
 
-from oracles import distributive_by_tables, is_lattice_by_tables, modular_by_tables
+from oracles import (
+    distributive_by_tables,
+    is_lattice_by_tables,
+    modular_by_tables,
+    monotone_scan,
+)
 
 
 def oracle_glb(L, a, b):
@@ -308,6 +314,34 @@ def test_monotone_map_rejects_non_monotone(c2):
         MonotoneMap(c2, c2, (1, 0))
 
 
+def test_monotone_map_errors_match_pairwise_scan(bare_posets):
+    """Checking covers first accepts and rejects exactly what the pairwise scan does.
+
+    Every value table between posets of size <= 4, bare and empty ones
+    included, gives the same exception type and message, or none, as the
+    scan over all pairs a <= b.
+    """
+    posets = [L for L in catalog() + list(bare_posets) if L.size <= 4]
+    tables = rejected = 0
+    for P in posets:
+        for Q in posets:
+            for values in itertools.product(range(Q.size), repeat=P.size):
+                tables += 1
+                try:
+                    monotone_scan(P, Q, values)
+                    expected = None
+                except NotMonotone as err:
+                    expected = str(err)
+                    rejected += 1
+                try:
+                    MonotoneMap(P, Q, values)
+                    got = None
+                except NotMonotone as err:
+                    got = str(err)
+                assert got == expected, (P, Q, values)
+    assert (tables, rejected) == (3095, 2198)
+
+
 @st.composite
 def random_posets(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -343,6 +377,15 @@ def test_random_poset_invariants(L):
     assert dual(dual(L)) == L
     for a in range(n):
         assert len(down_set(L, a).members) == sum(1 for b in range(n) if L.leq[b][a])
+    # covers: a < b with nothing strictly between, in both the pair list and the masks
+    strict = [(a, b) for a in range(n) for b in range(n) if a != b and L.leq[a][b]]
+    assert L.covers == tuple(
+        (a, b) for a, b in strict
+        if not any(L.leq[a][c] and L.leq[c][b] for c in range(n) if c not in (a, b))
+    )
+    assert L.down_masks == tuple(
+        sum(1 << c for c in range(n) if L.leq[c][a]) for a in range(n)
+    )
 
 
 @settings(max_examples=30, deadline=None)
