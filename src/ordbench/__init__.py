@@ -67,6 +67,7 @@ from .connection import (
 from .laws import (
     LAW_IDS,
     SUITE_ORDER,
+    THEOREMS,
     EquivalenceReport,
     ImplicationCheck,
     LawReport,
@@ -81,13 +82,8 @@ from .laws import (
     search_counterexample,
     verify_composition_stability,
     verify_derivations,
-    verify_lf_theorem,
-    verify_lm045_theorem,
-    verify_lm_theorem,
     verify_modularity_refinements,
-    verify_rf_theorem,
-    verify_rm045_theorem,
-    verify_rm_theorem,
+    verify_theorem,
 )
 from .posetgen import generated_lattices
 from .quantale import (

@@ -9,8 +9,18 @@ first failing assignment in the lexicographic order of the law's own
 variables.  It is a record of element indices; labels are looked up only
 when it is read or printed.
 
-Each left-hand law is evaluated by one kernel, a single pass over the
-connection's tables that returns the first failing case in that order.
+Laws and theorems are data.  Each law's entry in ``LAW_TABLE`` lists its
+hypotheses, which ``_STRUCTURE`` maps to skip reasons: a law whose
+hypotheses are missing (a missing adjoint, no top, no binary meets, ...)
+is reported as *skipped*, never silently true or false.  LF1/LF2 need only
+a left adjoint and RF1/RF2 only a right adjoint; every other law needs the
+full adjoint pair.  ``THEOREMS`` lists, per theorem, the connections its
+suite visits, its hypotheses and the chain of laws it asserts equivalent;
+``verify_theorem`` evaluates one chain on one connection.
+
+Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
+lattices and the value tables of the two adjoints.  A kernel is a single
+pass over the tables that returns the first failing case in that order.
 LF0 compares whole rows of meets and looks for the failing cell only in a
 row that differs; LM1, LF1 and LF2 compare int masks of Q's down-sets with
 masks of f's images; the other laws are nested loops with no call per
@@ -20,23 +30,18 @@ reproduce a witness.  The tests keep the case-by-case scan of every law in
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 on the opposite connection Q.op -> P.op between the cached duals, whose left
-adjoint is g and whose right adjoint is f; its table entry renames the
-variables, visits them in its own order where the two laws list them
-differently, and swaps the two sides of an inequality, which reverses.
-
-Laws whose structural hypotheses are missing (no top, no binary meets, a
-missing adjoint, ...) are reported as *skipped*, never silently true or
-false.  LF1/LF2 need only a left adjoint and RF1/RF2 only a right adjoint;
-every other law needs the full adjoint pair.
+adjoint is g and whose right adjoint is f; ``_operands`` hands a kernel
+either connection.  A right-hand law's table entry renames the variables,
+visits them in its own order where the two laws list them differently, and
+swaps the two sides of an inequality, which reverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import compress
+from functools import partial, reduce
+from itertools import compress, repeat
 from operator import or_
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -123,63 +128,56 @@ class _LawDef:
     id: str
     vars: tuple[str, ...]
     var_sides: str  # "P"/"Q" per case entry: the evaluated connection's poset
-    needs_left: bool
-    needs_right: bool
-    requires: tuple[str, ...]
-    context: Callable  # adjoint connection -> context of the evaluated connection
-    first_failure: Callable  # context -> first failing (case, lhs, rhs), or None
-    check: Callable  # (context, case) -> (ok, lhs, rhs) at one case
-    reverse: bool  # a case lists the law's variables in reverse order
-    swap: bool  # a case's (lhs, rhs) are the law's (rhs, lhs)
+    requires: tuple[str, ...]  # hypotheses, in the order their skip reasons are tried
+    first_failure: Callable  # (P, Q, f, g) -> first failing (case, lhs, rhs), or None
+    check: Callable  # (P, Q, f, g, case) -> (ok, lhs, rhs) at one case
+    opposite: bool = False  # evaluated on the opposite connection Q.op -> P.op
+    reverse: bool = False  # a case lists the law's variables in reverse order
+    swap: bool = False  # a case's (lhs, rhs) are the law's (rhs, lhs)
 
 
-# requirement -> (skip reason, whether the posets P, Q of the connection meet it)
+# hypothesis -> (skip reason, whether an adjoint connection P -> Q meets it)
 _STRUCTURE = {
-    "topP": ("P has no top", lambda P, Q: P.top is not None),
-    "botQ": ("Q has no bottom", lambda P, Q: Q.bottom is not None),
-    "meetsP": ("P lacks binary meets", lambda P, Q: P.has_binary_meets),
-    "meetsQ": ("Q lacks binary meets", lambda P, Q: Q.has_binary_meets),
-    "joinsP": ("P lacks binary joins", lambda P, Q: P.has_binary_joins),
-    "joinsQ": ("Q lacks binary joins", lambda P, Q: Q.has_binary_joins),
+    "left": ("left adjoint absent", lambda ac: ac.left is not None),
+    "right": ("right adjoint absent", lambda ac: ac.right is not None),
+    "topP": ("P has no top", lambda ac: ac.source.top is not None),
+    "botQ": ("Q has no bottom", lambda ac: ac.target.bottom is not None),
+    "meetsP": ("P lacks binary meets", lambda ac: ac.source.has_binary_meets),
+    "meetsQ": ("Q lacks binary meets", lambda ac: ac.target.has_binary_meets),
+    "joinsP": ("P lacks binary joins", lambda ac: ac.source.has_binary_joins),
+    "joinsQ": ("Q lacks binary joins", lambda ac: ac.target.has_binary_joins),
 }
 
 
 def _missing_structure(ac: AdjointConnection, requires) -> Optional[str]:
-    P, Q = ac.source, ac.target
+    """The skip reason of the first hypothesis in ``requires`` that ac misses."""
     for req in requires:
         reason, present = _STRUCTURE[req]
-        if not present(P, Q):
+        if not present(ac):
             return reason
     return None
 
 
-def _context(P: FiniteLattice, Q: FiniteLattice, left, right) -> SimpleNamespace:
-    """The tables a law reads, for a connection P -> Q with these adjoint maps."""
-    return SimpleNamespace(
-        P=P, Q=Q,
-        f=left.values if left is not None else None,
-        g=right.values if right is not None else None,
-        leqP=P.leq, leqQ=Q.leq, meetP=P.meet, meetQ=Q.meet,
-        n=P.size, m=Q.size, topP=P.top,
-    )
+def _operands(law: _LawDef, ac: AdjointConnection):
+    """The (P, Q, f, g) a law reads: its lattices and its adjoints' value tables.
 
-
-def _own_ctx(ac: AdjointConnection) -> SimpleNamespace:
-    return _context(ac.source, ac.target, ac.left, ac.right)
-
-
-def _opposite_ctx(ac: AdjointConnection) -> SimpleNamespace:
-    """The context of the opposite connection Q^op -> P^op, whose left adjoint is g."""
-    return _context(ac.target.op, ac.source.op, ac.right, ac.left)
+    A right-hand law reads the opposite connection Q.op -> P.op, whose left
+    adjoint is g and whose right adjoint is f.
+    """
+    f = ac.left.values if ac.left is not None else None
+    g = ac.right.values if ac.right is not None else None
+    if law.opposite:
+        return ac.target.op, ac.source.op, g, f
+    return ac.source, ac.target, f, g
 
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _down_image(ctx, b) -> set:
+def _down_image(P, f, b) -> set:
     """The image under f of everything below b."""
-    return {ctx.f[a] for a in range(ctx.n) if ctx.leqP[a][b]}
+    return {f[a] for a in range(P.size) if P.leq[a][b]}
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +189,39 @@ def _down_image(ctx, b) -> set:
 # law as the kernels' oracle.
 
 
-def _lm0_first_failure(ctx):
-    f, g, meetQ = ctx.f, ctx.g, ctx.meetQ
-    ftop = f[ctx.topP]
-    for y in range(ctx.m):
+def _lm0_first_failure(P, Q, f, g):
+    meetQ = Q.meet
+    ftop = f[P.top]
+    for y in range(Q.size):
         lhs, rhs = f[g[y]], meetQ[y][ftop]
         if lhs != rhs:
             return (y,), lhs, rhs
     return None
 
 
-def _lm0_check(ctx, case):
+def _lm0_check(P, Q, f, g, case):
     (y,) = case
-    lhs = ctx.f[ctx.g[y]]
-    rhs = ctx.meetQ[y][ctx.f[ctx.topP]]
+    lhs = f[g[y]]
+    rhs = Q.meet[y][f[P.top]]
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _lm1_first_failure(ctx):
-    # Case (b, c) with c <= f(b) fails when c is no value of f.
-    down, image = ctx.Q.down_masks, reduce(or_, map((1).__lshift__, ctx.f), 0)
-    for b, y in enumerate(ctx.f):
+def _image_masks(P, f):
+    """f's image as a mask over Q, for every b of P alike."""
+    return repeat(reduce(or_, map((1).__lshift__, f), 0))
+
+
+def _down_image_masks(P, f) -> list[int]:
+    """Per b, the image under f of everything below b, as a mask over Q."""
+    bits = tuple(map((1).__lshift__, f))
+    return [reduce(or_, compress(bits, below), 0) for below in P.geq]
+
+
+def _first_missing_image(images, P, Q, f, g):
+    # The kernel of LM1 (images: f's whole image) and LF1 (the image of
+    # b's down-set): case (b, c) with c <= f(b) fails when c is not in b's image.
+    down = Q.down_masks
+    for b, (y, image) in enumerate(zip(f, images(P, f))):
         missing = down[y] & ~image
         if missing:
             c = _low_bit(missing)
@@ -219,138 +229,121 @@ def _lm1_first_failure(ctx):
     return None
 
 
-def _lm1_check(ctx, case):
+def _lm1_check(P, Q, f, g, case):
     b, c = case
-    ok = c in ctx.f
+    ok = c in f
     return (ok, c, c if ok else None)
 
 
-def _lm2_first_failure(ctx):
-    f, g, leqQ, meetQ = ctx.f, ctx.g, ctx.leqQ, ctx.meetQ
+def _lm2_first_failure(P, Q, f, g):
+    m, leqQ, meetQ = Q.size, Q.leq, Q.meet
     fg = tuple(map(f.__getitem__, g))
-    for c in range(ctx.m):
+    for c in range(m):
         above, meet_c, lhs = leqQ[c], meetQ[c], fg[c]
-        for d in range(ctx.m):
+        for d in range(m):
             if above[d] and meet_c[fg[d]] != lhs:
                 return (c, d), lhs, meet_c[fg[d]]
     return None
 
 
-def _lm2_check(ctx, case):
+def _lm2_check(P, Q, f, g, case):
     c, d = case
-    lhs = ctx.f[ctx.g[c]]
-    rhs = ctx.meetQ[c][ctx.f[ctx.g[d]]]
+    lhs = f[g[c]]
+    rhs = Q.meet[c][f[g[d]]]
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _lm3_first_failure(ctx):
-    f, g, meetQ = ctx.f, ctx.g, ctx.meetQ
+def _lm3_first_failure(P, Q, f, g):
+    m, meetQ = Q.size, Q.meet
     fg = tuple(map(f.__getitem__, g))
-    for c in range(ctx.m):
+    for c in range(m):
         meet_c = meetQ[c]
-        for d in range(ctx.m):
+        for d in range(m):
             k = meet_c[d]
             if k is not None and fg[k] != meet_c[fg[d]]:
                 return (c, d), fg[k], meet_c[fg[d]]
     return None
 
 
-def _lm3_check(ctx, case):
+def _lm3_check(P, Q, f, g, case):
     c, d = case
-    lhs = ctx.f[ctx.g[ctx.meetQ[c][d]]]
-    rhs = ctx.meetQ[c][ctx.f[ctx.g[d]]]
+    lhs = f[g[Q.meet[c][d]]]
+    rhs = Q.meet[c][f[g[d]]]
     return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
-def _meets_with_ftop(ctx):
+def _meets_with_ftop(P, Q, f):
     """c ^ f(top) for every c in Q."""
-    ftop = ctx.f[ctx.topP]
-    return [row[ftop] for row in ctx.meetQ]
+    ftop = f[P.top]
+    return [row[ftop] for row in Q.meet]
 
 
-def _lm4_first_failure(ctx):
-    g, low = ctx.g, _meets_with_ftop(ctx)
-    for c in range(ctx.m):
-        for d in range(ctx.m):
+def _lm4_first_failure(P, Q, f, g):
+    m, low = Q.size, _meets_with_ftop(P, Q, f)
+    for c in range(m):
+        for d in range(m):
             if g[c] == g[d] and low[c] != low[d]:
                 return (c, d), low[c], low[d]
     return None
 
 
-def _lm4_check(ctx, case):
+def _lm4_check(P, Q, f, g, case):
     c, d = case
-    ftop = ctx.f[ctx.topP]
-    lhs = ctx.meetQ[c][ftop]
-    rhs = ctx.meetQ[d][ftop]
+    ftop = f[P.top]
+    lhs = Q.meet[c][ftop]
+    rhs = Q.meet[d][ftop]
     return (lhs == rhs, lhs, rhs)
 
 
-def _lm5_first_failure(ctx):
-    g, leqP, leqQ, low = ctx.g, ctx.leqP, ctx.leqQ, _meets_with_ftop(ctx)
-    for c in range(ctx.m):
+def _lm5_first_failure(P, Q, f, g):
+    m, leqP, leqQ, low = Q.size, P.leq, Q.leq, _meets_with_ftop(P, Q, f)
+    for c in range(m):
         below_g, above_low = leqP[g[c]], leqQ[low[c]]
-        for d in range(ctx.m):
+        for d in range(m):
             if below_g[g[d]] and not above_low[d]:
                 return (c, d), low[c], d
     return None
 
 
-def _lm5_check(ctx, case):
+def _lm5_check(P, Q, f, g, case):
     c, d = case
-    lhs = ctx.meetQ[c][ctx.f[ctx.topP]]
-    return (ctx.leqQ[lhs][d], lhs, d)
+    lhs = Q.meet[c][f[P.top]]
+    return (Q.leq[lhs][d], lhs, d)
 
 
-def _lf0_first_failure(ctx):
+def _lf0_first_failure(P, Q, f, g):
     # Row b holds c ^ f(b) and f(g(c) ^ b) for every c; meets commute, so
     # the first is row f(b) of Q's meet table, and the second reads row b
     # of P's.  A cell is sought only in a row that differs.
-    f, g, meetP, meetQ = ctx.f, ctx.g, ctx.meetP, ctx.meetQ
+    meetP, meetQ = P.meet, Q.meet
     at_f = f.__getitem__
-    for b in range(ctx.n):
+    for b in range(P.size):
         lhs = meetQ[f[b]]
         rhs = tuple(map(at_f, map(meetP[b].__getitem__, g)))
         if lhs != rhs:
-            c = next(c for c in range(ctx.m) if lhs[c] != rhs[c])
+            c = next(c for c in range(Q.size) if lhs[c] != rhs[c])
             return (b, c), lhs[c], rhs[c]
     return None
 
 
-def _lf0_check(ctx, case):
+def _lf0_check(P, Q, f, g, case):
     b, c = case
-    lhs = ctx.meetQ[c][ctx.f[b]]
-    rhs = ctx.f[ctx.meetP[ctx.g[c]][b]]
+    lhs = Q.meet[c][f[b]]
+    rhs = f[P.meet[g[c]][b]]
     return (lhs == rhs, lhs, rhs)
 
 
-def _down_image_masks(ctx) -> list[int]:
-    """Per b, the image under f of everything below b, as a mask over Q."""
-    bits = tuple(map((1).__lshift__, ctx.f))
-    return [reduce(or_, compress(bits, below), 0) for below in ctx.P.geq]
-
-
-def _lf1_first_failure(ctx):
-    # Case (b, c) with c <= f(b) fails when c is no f(a) with a <= b.
-    down = ctx.Q.down_masks
-    for b, (y, image) in enumerate(zip(ctx.f, _down_image_masks(ctx))):
-        missing = down[y] & ~image
-        if missing:
-            c = _low_bit(missing)
-            return (b, c), c, None
-    return None
-
-
-def _lf1_check(ctx, case):
+def _lf1_check(P, Q, f, g, case):
     b, c = case
-    ok = c in _down_image(ctx, b)
+    ok = c in _down_image(P, f, b)
     return (ok, c, c if ok else None)
 
 
-def _lf2_first_failure(ctx):
+def _lf2_first_failure(P, Q, f, g):
     # Case (a, b, c) with b <= a and c <= f(b) fails when c is no f(x) with x <= a.
-    f, leqP, down, images = ctx.f, ctx.leqP, ctx.Q.down_masks, _down_image_masks(ctx)
-    for a in range(ctx.n):
-        for b in range(ctx.n):
+    n, leqP, down, images = P.size, P.leq, Q.down_masks, _down_image_masks(P, f)
+    for a in range(n):
+        for b in range(n):
             if leqP[b][a]:
                 missing = down[f[b]] & ~images[a]
                 if missing:
@@ -359,89 +352,83 @@ def _lf2_first_failure(ctx):
     return None
 
 
-def _lf2_check(ctx, case):
+def _lf2_check(P, Q, f, g, case):
     a, b, c = case
-    ok = c in _down_image(ctx, a)
+    ok = c in _down_image(P, f, a)
     return (ok, c, c if ok else None)
-
-
-def _law(law_id, vars_, var_sides, first_failure, check, requires=(),
-         needs_left=True, needs_right=True):
-    return _LawDef(law_id, vars_, var_sides, needs_left, needs_right, tuple(requires),
-                   _own_ctx, first_failure, check, False, False)
 
 
 LAW_TABLE = {
     law.id: law
     for law in (
-        _law("LM0", ("y",), "Q", _lm0_first_failure, _lm0_check, requires=("topP",)),
-        _law("LM1", ("b", "c"), "PQ", _lm1_first_failure, _lm1_check),
-        _law("LM2", ("c", "d"), "QQ", _lm2_first_failure, _lm2_check),
-        _law("LM3", ("c", "d"), "QQ", _lm3_first_failure, _lm3_check),
-        _law("LM4", ("c", "d"), "QQ", _lm4_first_failure, _lm4_check,
-             requires=("topP", "meetsQ")),
-        _law("LM5", ("c", "d"), "QQ", _lm5_first_failure, _lm5_check,
-             requires=("topP", "meetsQ")),
-        _law("LF0", ("b", "c"), "PQ", _lf0_first_failure, _lf0_check,
-             requires=("meetsP", "meetsQ")),
-        _law("LF1", ("b", "c"), "PQ", _lf1_first_failure, _lf1_check, needs_right=False),
-        _law("LF2", ("a", "b", "c"), "PPQ", _lf2_first_failure, _lf2_check,
-             needs_right=False),
+        _LawDef("LM0", ("y",), "Q", ("left", "right", "topP"), _lm0_first_failure, _lm0_check),
+        _LawDef("LM1", ("b", "c"), "PQ", ("left", "right"),
+                partial(_first_missing_image, _image_masks), _lm1_check),
+        _LawDef("LM2", ("c", "d"), "QQ", ("left", "right"), _lm2_first_failure, _lm2_check),
+        _LawDef("LM3", ("c", "d"), "QQ", ("left", "right"), _lm3_first_failure, _lm3_check),
+        _LawDef("LM4", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"),
+                _lm4_first_failure, _lm4_check),
+        _LawDef("LM5", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"),
+                _lm5_first_failure, _lm5_check),
+        _LawDef("LF0", ("b", "c"), "PQ", ("left", "right", "meetsP", "meetsQ"),
+                _lf0_first_failure, _lf0_check),
+        _LawDef("LF1", ("b", "c"), "PQ", ("left",),
+                partial(_first_missing_image, _down_image_masks), _lf1_check),
+        _LawDef("LF2", ("a", "b", "c"), "PPQ", ("left",), _lf2_first_failure, _lf2_check),
     )
 }
 
 
-def _opposite_law(law_id, base_id, vars_, requires=(), reorder=None, swap=False):
+def _opposite_law(law_id, base_id, vars_, requires, reorder=None, swap=False):
     """Law ``law_id`` as law ``base_id`` read on the opposite connection.
 
     The variables are the base law's, renamed; ``requires`` is the law's
-    own, so skip reasons name the law's own posets.  A law whose two
-    variables are the base law's in reverse passes ``reorder``, a kernel
-    that visits the base law's assignments in this law's lexicographic
-    order.  ``swap`` marks a base inequality, which reverses: its lhs is
-    this law's rhs.
+    own, so skip reasons name the law's own posets and adjoints.  A law
+    whose two variables are the base law's in reverse passes ``reorder``, a
+    kernel that visits the base law's assignments in this law's
+    lexicographic order.  ``swap`` marks a base inequality, which reverses:
+    its lhs is this law's rhs.
     """
     base = LAW_TABLE[base_id]
-    return _LawDef(law_id, vars_, base.var_sides, base.needs_right, base.needs_left,
-                   tuple(requires), _opposite_ctx, reorder or base.first_failure,
-                   base.check, reorder is not None, swap)
+    return _LawDef(law_id, vars_, base.var_sides, requires, reorder or base.first_failure,
+                   base.check, True, reorder is not None, swap)
 
 
 # Kernels visiting a base law's assignments in the lexicographic order of its
 # variables reversed, which is the order of the right-hand law's own
 # variables: RM2 and RM5 at (a, b) are LM2 and LM5 at c=b, d=a; RF0 at (a, c)
 # is LF0 at b=c, c=a.
-def _lm2_first_failure_reversed(ctx):
-    f, g, leqQ, meetQ = ctx.f, ctx.g, ctx.leqQ, ctx.meetQ
+def _lm2_first_failure_reversed(P, Q, f, g):
+    m, leqQ, meetQ = Q.size, Q.leq, Q.meet
     fg = tuple(map(f.__getitem__, g))
-    for d in range(ctx.m):
+    for d in range(m):
         fgd = fg[d]
-        for c in range(ctx.m):
+        for c in range(m):
             if leqQ[c][d] and meetQ[c][fgd] != fg[c]:
                 return (c, d), fg[c], meetQ[c][fgd]
     return None
 
 
-def _lm5_first_failure_reversed(ctx):
-    g, leqP, leqQ, low = ctx.g, ctx.leqP, ctx.leqQ, _meets_with_ftop(ctx)
-    for d in range(ctx.m):
+def _lm5_first_failure_reversed(P, Q, f, g):
+    m, leqP, leqQ, low = Q.size, P.leq, Q.leq, _meets_with_ftop(P, Q, f)
+    for d in range(m):
         gd = g[d]
-        for c in range(ctx.m):
+        for c in range(m):
             if leqP[g[c]][gd] and not leqQ[low[c]][d]:
                 return (c, d), low[c], d
     return None
 
 
-def _lf0_first_failure_reversed(ctx):
+def _lf0_first_failure_reversed(P, Q, f, g):
     # Column c holds c ^ f(b) and f(g(c) ^ b) for every b: f read through
     # row c of Q's meet table, and row g(c) of P's read through f.
-    f, g, meetP, meetQ = ctx.f, ctx.g, ctx.meetP, ctx.meetQ
+    meetP, meetQ = P.meet, Q.meet
     at_f = f.__getitem__
-    for c in range(ctx.m):
+    for c in range(Q.size):
         lhs = tuple(map(meetQ[c].__getitem__, f))
         rhs = tuple(map(at_f, meetP[g[c]]))
         if lhs != rhs:
-            b = next(b for b in range(ctx.n) if lhs[b] != rhs[b])
+            b = next(b for b in range(P.size) if lhs[b] != rhs[b])
             return (b, c), lhs[b], rhs[b]
     return None
 
@@ -449,31 +436,32 @@ def _lf0_first_failure_reversed(ctx):
 LAW_TABLE.update(
     (law.id, law)
     for law in (
-        _opposite_law("RM0", "LM0", ("x",), requires=("botQ",)),
-        _opposite_law("RM1", "LM1", ("c", "b")),
-        _opposite_law("RM2", "LM2", ("a", "b"), reorder=_lm2_first_failure_reversed),
-        _opposite_law("RM3", "LM3", ("a", "b")),
-        _opposite_law("RM4", "LM4", ("a", "b"), requires=("joinsP", "botQ")),
-        _opposite_law("RM5", "LM5", ("a", "b"), requires=("joinsP", "botQ"),
+        _opposite_law("RM0", "LM0", ("x",), ("left", "right", "botQ")),
+        _opposite_law("RM1", "LM1", ("c", "b"), ("left", "right")),
+        _opposite_law("RM2", "LM2", ("a", "b"), ("left", "right"),
+                      reorder=_lm2_first_failure_reversed),
+        _opposite_law("RM3", "LM3", ("a", "b"), ("left", "right")),
+        _opposite_law("RM4", "LM4", ("a", "b"), ("left", "right", "joinsP", "botQ")),
+        _opposite_law("RM5", "LM5", ("a", "b"), ("left", "right", "joinsP", "botQ"),
                       reorder=_lm5_first_failure_reversed, swap=True),
-        _opposite_law("RF0", "LF0", ("a", "c"), requires=("joinsP", "joinsQ"),
+        _opposite_law("RF0", "LF0", ("a", "c"), ("left", "right", "joinsP", "joinsQ"),
                       reorder=_lf0_first_failure_reversed),
-        _opposite_law("RF1", "LF1", ("c", "b")),
-        _opposite_law("RF2", "LF2", ("c", "d", "b")),
+        _opposite_law("RF1", "LF1", ("c", "b"), ("right",)),
+        _opposite_law("RF2", "LF2", ("c", "d", "b"), ("right",)),
     )
 )
 
 
-def _witness(law: _LawDef, ctx, case, lhs, rhs) -> Witness:
+def _witness(law: _LawDef, P, Q, case, lhs, rhs) -> Witness:
     # A dual poset keeps the labels of the original, so a right-hand law's
     # case is labelled from the posets of the connection it was evaluated on.
-    sides = {"P": ctx.P.labels, "Q": ctx.Q.labels}
+    sides = {"P": P.labels, "Q": Q.labels}
     labels = tuple(sides[side] for side in law.var_sides)
     if law.reverse:
         case, labels = case[::-1], labels[::-1]
     if law.swap:
         lhs, rhs = rhs, lhs
-    return Witness(law.vars, case, lhs, rhs, labels, ctx.Q.labels)
+    return Witness(law.vars, case, lhs, rhs, labels, Q.labels)
 
 
 def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
@@ -486,25 +474,21 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
         law = LAW_TABLE[law_id]
     except KeyError:
         raise UnknownLaw(f"unknown law {law_id!r}") from None
-    if law.needs_left and ac.left is None:
-        return LawReport(law_id, None, None, "left adjoint absent")
-    if law.needs_right and ac.right is None:
-        return LawReport(law_id, None, None, "right adjoint absent")
     reason = _missing_structure(ac, law.requires)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
-    ctx = law.context(ac)
-    failure = law.first_failure(ctx)
+    P, Q, f, g = _operands(law, ac)
+    failure = law.first_failure(P, Q, f, g)
     if failure is None:
         return LawReport(law_id, True, None, None)
-    return LawReport(law_id, False, _witness(law, ctx, *failure), None)
+    return LawReport(law_id, False, _witness(law, P, Q, *failure), None)
 
 
 def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
     """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
     law = LAW_TABLE[law_id]
     case = witness.indices[::-1] if law.reverse else witness.indices
-    ok, lhs, rhs = law.check(law.context(ac), case)
+    ok, lhs, rhs = law.check(*_operands(law, ac), case)
     return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
 
 
@@ -539,48 +523,53 @@ class ImplicationCheck:
     detail: Optional[str] = None
 
 
-def _equivalence(theorem: str, ac: AdjointConnection, law_ids) -> EquivalenceReport:
-    return EquivalenceReport(theorem, tuple(eval_law(i, ac) for i in law_ids))
+# The connections a suite visits for each ordered pair (P, Q).  These and the
+# suites' failure functions name what they call at call time, so a module
+# attribute rebound after import (as the benchmark's tracer does) is honoured.
+def _adjoint_connections(P, Q):
+    return enumerate_adjoint_connections(P, Q)
 
 
-def verify_lm_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """LM1/LM2/LM3 must agree, and LM0 joins the chain when P has a top."""
-    return _equivalence("lm", ac, ("LM1", "LM2", "LM3", "LM0"))
+def _left_connections(P, Q):
+    """Every left adjoint connection P -> Q, one per monotone map."""
+    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
 
 
-def verify_rm_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """RM1/RM2/RM3 must agree, and RM0 joins the chain when Q has a bottom."""
-    return _equivalence("rm", ac, ("RM1", "RM2", "RM3", "RM0"))
+def _right_connections(P, Q):
+    """Every right adjoint connection P -> Q, one per monotone map."""
+    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
 
 
-def verify_rm045_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """RM0/RM4/RM5 must agree when P has binary joins and Q a bottom."""
-    reason = _missing_structure(ac, ("joinsP", "botQ"))
+# theorem -> (connections its suite visits, hypotheses, chain of laws that
+# must agree wherever none of them is skipped)
+THEOREMS = {
+    # LM1/LM2/LM3 agree, and LM0 joins the chain when P has a top.
+    "lm": (_adjoint_connections, (), ("LM1", "LM2", "LM3", "LM0")),
+    # RM1/RM2/RM3 agree, and RM0 joins the chain when Q has a bottom.
+    "rm": (_adjoint_connections, (), ("RM1", "RM2", "RM3", "RM0")),
+    "rm045": (_adjoint_connections, ("joinsP", "botQ"), ("RM0", "RM4", "RM5")),
+    "lm045": (_adjoint_connections, ("topP", "meetsQ"), ("LM0", "LM4", "LM5")),
+    # LF1/LF2 agree on any left adjoint; LF0 joins when both adjoints and meets exist.
+    "lf": (_left_connections, ("left",), ("LF1", "LF2", "LF0")),
+    # RF1/RF2 agree on any right adjoint; RF0 joins when both adjoints and joins exist.
+    "rf": (_right_connections, ("right",), ("RF1", "RF2", "RF0")),
+}
+
+
+def verify_theorem(name: str, ac: AdjointConnection) -> EquivalenceReport:
+    """The truth values of theorem ``name``'s chain of laws on one connection.
+
+    A connection that misses one of the theorem's hypotheses gives a skipped
+    report with no law evaluated.
+    """
+    try:
+        _, requires, laws = THEOREMS[name]
+    except KeyError:
+        raise UnknownSuite(f"unknown theorem {name!r}") from None
+    reason = _missing_structure(ac, requires)
     if reason is not None:
-        return EquivalenceReport("rm045", (), skipped=reason)
-    return _equivalence("rm045", ac, ("RM0", "RM4", "RM5"))
-
-
-def verify_lm045_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """LM0/LM4/LM5 must agree when P has a top and Q binary meets."""
-    reason = _missing_structure(ac, ("topP", "meetsQ"))
-    if reason is not None:
-        return EquivalenceReport("lm045", (), skipped=reason)
-    return _equivalence("lm045", ac, ("LM0", "LM4", "LM5"))
-
-
-def verify_lf_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """LF1/LF2 must agree on any left adjoint connection; LF0 joins when adjoint with meets."""
-    if ac.left is None:
-        return EquivalenceReport("lf", (), skipped="left adjoint absent")
-    return _equivalence("lf", ac, ("LF1", "LF2", "LF0"))
-
-
-def verify_rf_theorem(ac: AdjointConnection) -> EquivalenceReport:
-    """RF1/RF2 must agree on any right adjoint connection; RF0 joins when adjoint with joins."""
-    if ac.right is None:
-        return EquivalenceReport("rf", (), skipped="right adjoint absent")
-    return _equivalence("rf", ac, ("RF1", "RF2", "RF0"))
+        return EquivalenceReport(name, (), skipped=reason)
+    return EquivalenceReport(name, tuple(eval_law(law_id, ac) for law_id in laws))
 
 
 def _implies(ac, antecedent, consequent, name) -> ImplicationCheck:
@@ -605,14 +594,12 @@ def verify_derivations(ac: AdjointConnection) -> tuple[ImplicationCheck, Implica
     )
 
 
-def _biconditional(ac, left_id, right_id, name) -> ImplicationCheck:
-    a = eval_law(left_id, ac)
-    b = eval_law(right_id, ac)
+def _biconditional(a: LawReport, b: LawReport, name) -> ImplicationCheck:
     if a.skipped is not None or b.skipped is not None:
         return ImplicationCheck(name, "skipped", True, a.skipped or b.skipped)
     if a.holds == b.holds:
         return ImplicationCheck(name, "agree", True)
-    return ImplicationCheck(name, "disagree", False, f"{left_id}={a.holds} {right_id}={b.holds}")
+    return ImplicationCheck(name, "disagree", False, f"{a.law}={a.holds} {b.law}={b.holds}")
 
 
 def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationCheck, ...]:
@@ -624,21 +611,21 @@ def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationChe
     and they hold once the other modular-connection law is added as a
     hypothesis (RM0 for the P side, LM0 for the Q side).  With both P and Q
     modular, the check that LM0 and RM0 together are equivalent to LF0 and
-    RF0 together is the theorem.
+    RF0 together is the theorem; it reads the four reports the two
+    biconditionals computed, so each law is evaluated at most once.
     """
     P, Q = ac.source, ac.target
     if not (P.is_lattice and P.is_bounded and Q.is_lattice and Q.is_bounded):
         return (ImplicationCheck("modularity", "skipped", True, "P and Q must be bounded lattices"),)
     checks = []
     if P.is_modular:
-        checks.append(_biconditional(ac, "LM0", "LF0", "LM0<=>LF0[P modular]"))
+        lm0, lf0 = eval_law("LM0", ac), eval_law("LF0", ac)
+        checks.append(_biconditional(lm0, lf0, "LM0<=>LF0[P modular]"))
     if Q.is_modular:
-        checks.append(_biconditional(ac, "RM0", "RF0", "RM0<=>RF0[Q modular]"))
+        rm0, rf0 = eval_law("RM0", ac), eval_law("RF0", ac)
+        checks.append(_biconditional(rm0, rf0, "RM0<=>RF0[Q modular]"))
     if P.is_modular and Q.is_modular:
-        lm0 = eval_law("LM0", ac).holds
-        rm0 = eval_law("RM0", ac).holds
-        lf0 = eval_law("LF0", ac).holds
-        rf0 = eval_law("RF0", ac).holds
+        lm0, rm0, lf0, rf0 = lm0.holds, rm0.holds, lf0.holds, rf0.holds
         ok = (lm0 and rm0) == (lf0 and rf0)
         checks.append(
             ImplicationCheck(
@@ -886,24 +873,8 @@ def _vector(rep: EquivalenceReport) -> str:
     return " ".join(f"{law}={holds}" for law, holds in rep.truth_vector())
 
 
-# The connections a suite visits for each ordered pair (P, Q).  These and the
-# failure functions below name what they call at call time, so a module
-# attribute rebound after import (as the benchmark's tracer does) is honoured.
-def _adjoint_connections(P, Q):
-    return enumerate_adjoint_connections(P, Q)
-
-
-def _left_connections(P, Q):
-    """Every left adjoint connection P -> Q, one per monotone map."""
-    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
-
-
-def _right_connections(P, Q):
-    """Every right adjoint connection P -> Q, one per monotone map."""
-    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
-
-
-def _inconsistent(rep: EquivalenceReport) -> tuple[str, ...]:
+def _inconsistent(theorem: str, ac: AdjointConnection) -> tuple[str, ...]:
+    rep = verify_theorem(theorem, ac)
     return () if rep.consistent else (_vector(rep),)
 
 
@@ -913,12 +884,10 @@ def _violated(checks) -> tuple[str, ...]:
 
 # suite -> (connections of each ordered pair, failure lines of one connection)
 _PER_CONNECTION_SUITES = {
-    "lm": (_adjoint_connections, lambda ac: _inconsistent(verify_lm_theorem(ac))),
-    "rm": (_adjoint_connections, lambda ac: _inconsistent(verify_rm_theorem(ac))),
-    "rm045": (_adjoint_connections, lambda ac: _inconsistent(verify_rm045_theorem(ac))),
-    "lm045": (_adjoint_connections, lambda ac: _inconsistent(verify_lm045_theorem(ac))),
-    "lf": (_left_connections, lambda ac: _inconsistent(verify_lf_theorem(ac))),
-    "rf": (_right_connections, lambda ac: _inconsistent(verify_rf_theorem(ac))),
+    **{
+        name: (connections, partial(_inconsistent, name))
+        for name, (connections, _, _) in THEOREMS.items()
+    },
     "derivations": (_adjoint_connections, lambda ac: _violated(verify_derivations(ac))),
     "modularity": (
         _adjoint_connections, lambda ac: _violated(verify_modularity_refinements(ac)),

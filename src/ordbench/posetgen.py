@@ -66,10 +66,12 @@ def generated_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
     """Every bounded lattice with 1..max_size elements, once per isomorphism class.
 
     Deterministic order: size ascending, then canonical order-table code.
+    Size 0 gives no lattice; a size below 0 or above MAX_GENERATED_SIZE
+    raises SizeBoundExceeded.
     """
-    if max_size > MAX_GENERATED_SIZE:
+    if not 0 <= max_size <= MAX_GENERATED_SIZE:
         raise SizeBoundExceeded(
-            f"exhaustive generation is bounded to size <= {MAX_GENERATED_SIZE}"
+            f"exhaustive generation is bounded to size 0 to {MAX_GENERATED_SIZE}"
         )
     found: dict[int, dict[int, list[int]]] = {k: {} for k in range(1, max_size + 1)}
 

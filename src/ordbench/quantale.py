@@ -31,7 +31,7 @@ from .connection import AdjointConnection, Connection
 from .laws import LawReport, Witness, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
-# table checks of `build_quantale` are cubic in the number of divisors.
+# principal-element report is cubic in the number of divisors.
 MAX_MODULUS = 10**12
 MAX_DIVISORS = 240
 
@@ -118,8 +118,11 @@ def zn_ideal_quantale(n: int) -> Quantale:
     reverse divisibility, join is the ideal sum (gcd), meet the intersection
     (lcm) and multiplication the ideal product gcd(a*b, n).  The lattice is
     ``divisor_lattice(n)``, built from the same divisor list as the table.
-    Raises SizeBoundExceeded when n exceeds MAX_MODULUS (before any
-    division) or has more than MAX_DIVISORS divisors (before any table).
+    The ideal product is a quantale by construction, with unit (1), so the
+    axioms are not re-checked here; ``build_quantale`` checks a table read
+    from a file.  Raises SizeBoundExceeded when n exceeds MAX_MODULUS
+    (before any division) or has more than MAX_DIVISORS divisors (before
+    any table).
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
@@ -132,7 +135,7 @@ def zn_ideal_quantale(n: int) -> Quantale:
         )
     pos = {d: i for i, d in enumerate(divs)}
     mult = tuple(tuple(pos[gcd(a * b, n)] for b in divs) for a in divs)
-    return build_quantale(_divisor_order(divs, f"Div{n}"), mult)
+    return Quantale(_divisor_order(divs, f"Div{n}"), mult, pos[1])
 
 
 def residual(q: Quantale, a: int, e: int) -> int:

@@ -1,7 +1,9 @@
 """Brute-force oracles shared by the test modules."""
 
+from types import SimpleNamespace
+
 from ordbench import Connection, NotMonotone, SizeBoundExceeded
-from ordbench.laws import LAW_TABLE
+from ordbench.laws import LAW_TABLE, _operands
 
 
 def enumerate_connections(P, Q):
@@ -88,7 +90,8 @@ def distributive_by_tables(L):
 # Law evaluation case by case: the oracle of the law kernels.  Each base law
 # lists its assignments in ascending index order; a right-hand law visits its
 # base law's assignments on the opposite connection, in the lexicographic
-# order of its own variables.
+# order of its own variables.  The iterators read the tables of the
+# connection a law is evaluated on through ``ctx``.
 
 
 def _lm0_cases(ctx):
@@ -151,12 +154,15 @@ def case_scan(law_id, ac):
     caller makes sure the law is not skipped on ac.
     """
     law = LAW_TABLE[law_id]
-    ctx = law.context(ac)
+    P, Q, f, g = _operands(law, ac)
+    ctx = SimpleNamespace(
+        n=P.size, m=Q.size, leqP=P.leq, leqQ=Q.leq, meetQ=Q.meet, f=f, g=g,
+    )
     cases = BASE_CASES[law_id[1:]](ctx)
     if law.reverse:
         cases = sorted(cases, key=lambda case: case[::-1])
     for case in cases:
-        ok, lhs, rhs = law.check(ctx, case)
+        ok, lhs, rhs = law.check(P, Q, f, g, case)
         if not ok:
             if law.reverse:
                 case = case[::-1]

@@ -36,13 +36,8 @@ from ordbench import (
     search_counterexample,
     verify_composition_stability,
     verify_derivations,
-    verify_lf_theorem,
-    verify_lm045_theorem,
-    verify_lm_theorem,
     verify_modularity_refinements,
-    verify_rf_theorem,
-    verify_rm045_theorem,
-    verify_rm_theorem,
+    verify_theorem,
     zn_ideal_quantale,
 )
 from ordbench.posetgen import generated_lattices
@@ -98,17 +93,17 @@ def test_mul_by_m_laws(mul_by_m):
 
 
 def test_mul_by_m_theorem_vectors(mul_by_m):
-    lm = verify_lm_theorem(mul_by_m)
+    lm = verify_theorem("lm", mul_by_m)
     assert lm.consistent and all(h is True for _, h in lm.truth_vector())
-    rm = verify_rm_theorem(mul_by_m)
+    rm = verify_theorem("rm", mul_by_m)
     assert rm.consistent and all(h is False for _, h in rm.truth_vector())
-    rm045 = verify_rm045_theorem(mul_by_m)
+    rm045 = verify_theorem("rm045", mul_by_m)
     assert rm045.consistent and all(h is False for _, h in rm045.truth_vector())
-    lm045 = verify_lm045_theorem(mul_by_m)
+    lm045 = verify_theorem("lm045", mul_by_m)
     assert lm045.consistent and all(h is True for _, h in lm045.truth_vector())
-    lf = verify_lf_theorem(mul_by_m)
+    lf = verify_theorem("lf", mul_by_m)
     assert lf.consistent and all(h is True for _, h in lf.truth_vector())
-    rf = verify_rf_theorem(mul_by_m)
+    rf = verify_theorem("rf", mul_by_m)
     assert rf.consistent and all(h is False for _, h in rf.truth_vector())
 
 
@@ -125,6 +120,9 @@ def test_one_sided_law_evaluation(c2, c3):
     assert eval_law("LF2", one_sided).holds is not None
     assert eval_law("LM1", one_sided).skipped == "right adjoint absent"
     assert eval_law("RF1", one_sided).skipped == "right adjoint absent"
+    assert verify_theorem("lf", one_sided).skipped is None
+    rf = verify_theorem("rf", one_sided)
+    assert rf.skipped == "right adjoint absent" and rf.reports == ()
 
 
 def test_structure_skips_on_unbounded_poset():
@@ -134,6 +132,8 @@ def test_structure_skips_on_unbounded_poset():
     assert eval_law("RM0", ac).skipped == "Q has no bottom"
     assert eval_law("LF0", ac).skipped == "P lacks binary meets"
     assert eval_law("RF0", ac).skipped == "P lacks binary joins"
+    assert verify_theorem("rm045", ac).skipped == "P lacks binary joins"
+    assert verify_theorem("lm045", ac).skipped == "P has no top"
     # LM1..LM3 quantify only over existing bounds and still hold
     for law_id in ("LM1", "LM2", "LM3", "RM1", "RM2", "RM3", "LF1", "LF2", "RF1", "RF2"):
         assert eval_law(law_id, ac).holds is True
@@ -418,6 +418,7 @@ def test_law_errors_are_typed(n5):
         (PredicateSyntaxError, "expected ')', found 'LM1'", lambda: parse_predicate("(LM0 LM1")),
         (PredicateSyntaxError, "trailing tokens", lambda: parse_predicate("LM0 LM1")),
         (UnknownSuite, "unknown suite 'nope'", lambda: run_suite("nope", [n5])),
+        (UnknownSuite, "unknown theorem 'nope'", lambda: verify_theorem("nope", ac)),
         (UnsupportedLaw, "LF0 and RF0 only", lambda: verify_composition_stability(ac, ac, "LM0")),
     ]
     for cls, message, call in cases:

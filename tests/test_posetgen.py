@@ -99,3 +99,10 @@ def test_generated_size_6_count():
 def test_generation_bound():
     with pytest.raises(SizeBoundExceeded):
         generated_lattices(7)
+
+
+def test_generation_rejects_negative_sizes():
+    for size in (-1, -7):
+        with pytest.raises(SizeBoundExceeded):
+            generated_lattices(size)
+    assert generated_lattices(0) == ()

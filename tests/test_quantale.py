@@ -150,6 +150,14 @@ def test_zn_lattice_is_the_divisor_lattice():
         assert zn_ideal_quantale(n).lattice == divisor_lattice(n)
 
 
+def test_zn_quantale_passes_the_axiom_checks():
+    """The ideal product, built without checks, is what build_quantale validates."""
+    for n in (*range(2, 201), 360, 55440, 134640, 20008504):
+        q = zn_ideal_quantale(n)
+        assert build_quantale(q.lattice, q.mult) == q
+        assert q.lattice.labels[q.unit] == "(1)"
+
+
 def test_zn_size_bounds():
     with pytest.raises(SizeBoundExceeded, match="exceeds the bound"):
         zn_ideal_quantale(10**18)
