@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import OrdbenchError
+from .errors import OrdbenchError, UnknownLaw
 from .lattice import catalog
 from .connection import AdjointConnection, find_left_adjoint, find_right_adjoint
 from .laws import LAW_IDS, SUITE_ORDER, eval_law, parse_predicate, run_suite, search_counterexample
@@ -80,8 +80,7 @@ def cmd_laws(args) -> int:
     requested = args.law or []
     for law_id in requested:
         if law_id not in LAW_IDS:
-            print(f"error: unknown law {law_id!r}", file=sys.stderr)
-            return 2
+            raise UnknownLaw(f"unknown law {law_id!r}")
     failed = False
     for name in _blocks(doc, "conn", args.file):
         c = doc.connections[name]

@@ -55,9 +55,6 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self.labels)
 
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -170,9 +167,6 @@ class MonotoneMap:
                         f"{self.source.labels[a]} <= {self.source.labels[b]} but "
                         f"{self.target.labels[values[a]]} !<= {self.target.labels[values[b]]}"
                     )
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
 
     def __repr__(self) -> str:
         return f"MonotoneMap({self.source.name}->{self.target.name}, {self.values})"
@@ -349,7 +343,7 @@ def _divisor_order(divs: Sequence[int], name: str) -> FiniteLattice:
     return from_leq(name, labels, leq)
 
 
-def divisor_lattice(n: int, name: Optional[str] = None) -> FiniteLattice:
+def divisor_lattice(n: int) -> FiniteLattice:
     """Divisors of n under reverse divisibility: (a) <= (b) iff b divides a.
 
     This models the ideals of the integers mod n ordered by inclusion; the
@@ -357,7 +351,7 @@ def divisor_lattice(n: int, name: Optional[str] = None) -> FiniteLattice:
     everything built on top.  Divisors are found by trial division up to
     the square root of n.
     """
-    return _divisor_order(_divisors(n), name or f"Div{n}")
+    return _divisor_order(_divisors(n), f"Div{n}")
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,12 @@ is reported as *skipped*, never silently true or false.  LF1/LF2 need only
 a left adjoint and RF1/RF2 only a right adjoint; every other law needs the
 full adjoint pair.  ``THEOREMS`` lists, per theorem, the connections its
 suite visits, its hypotheses and the chain of laws it asserts equivalent;
-``verify_theorem`` evaluates one chain on one connection.
+``verify_theorem`` evaluates one chain on one connection.  The other checks
+go through one implication evaluator and one biconditional evaluator.
+``SUITES`` lists all nine suites, each as the lattices it visits, the cases
+of each unit (an ordered pair, or a composable triple) and the failure lines
+of one case; ``run_suite`` is the one loop over them, and the counterexample
+search walks the same pairs.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from operator import or_
 from typing import Callable, Optional, Sequence
 
@@ -519,13 +524,17 @@ class ImplicationCheck:
 
     name: str
     status: str  # "holds" | "vacuous" | "agree" | "disagree" | "violated" | "skipped"
-    ok: bool
     detail: Optional[str] = None
 
+    @property
+    def ok(self) -> bool:
+        return self.status not in ("disagree", "violated")
 
-# The connections a suite visits for each ordered pair (P, Q).  These and the
-# suites' failure functions name what they call at call time, so a module
-# attribute rebound after import (as the benchmark's tracer does) is honoured.
+
+# The connections a suite visits for each ordered pair (P, Q).  These, the
+# suites' units and their failure functions name what they call at call
+# time, so a module attribute rebound after import (as the benchmark's
+# tracer does) is honoured.
 def _adjoint_connections(P, Q):
     return enumerate_adjoint_connections(P, Q)
 
@@ -538,6 +547,13 @@ def _left_connections(P, Q):
 def _right_connections(P, Q):
     """Every right adjoint connection P -> Q, one per monotone map."""
     return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
+
+
+def _pairs(connections, lattices):
+    """Per ordered pair (P, Q) of ``lattices``, in order, the connections P -> Q."""
+    for P in lattices:
+        for Q in lattices:
+            yield connections(P, Q)
 
 
 # theorem -> (connections its suite visits, hypotheses, chain of laws that
@@ -572,34 +588,45 @@ def verify_theorem(name: str, ac: AdjointConnection) -> EquivalenceReport:
     return EquivalenceReport(name, tuple(eval_law(law_id, ac) for law_id in laws))
 
 
-def _implies(ac, antecedent, consequent, name) -> ImplicationCheck:
-    a = eval_law(antecedent, ac)
-    if a.skipped is not None:
-        return ImplicationCheck(name, "skipped", True, a.skipped)
-    if not a.holds:
-        return ImplicationCheck(name, "vacuous", True)
-    c = eval_law(consequent, ac)
+def _first_skip(reports) -> Optional[str]:
+    return next((r.skipped for r in reports if r.skipped is not None), None)
+
+
+def _implication(name, antecedents, consequent) -> ImplicationCheck:
+    """The conjunction of the ``antecedents`` reports implies ``consequent()``.
+
+    The consequent is a thunk, evaluated only when every antecedent holds.
+    """
+    skipped = _first_skip(antecedents)
+    if skipped is not None:
+        return ImplicationCheck(name, "skipped", skipped)
+    if not all(a.holds for a in antecedents):
+        return ImplicationCheck(name, "vacuous")
+    c = consequent()
     if c.skipped is not None:
-        return ImplicationCheck(name, "skipped", True, c.skipped)
+        return ImplicationCheck(name, "skipped", c.skipped)
     if c.holds:
-        return ImplicationCheck(name, "holds", True)
-    return ImplicationCheck(name, "violated", False, c.witness.render())
+        return ImplicationCheck(name, "holds")
+    return ImplicationCheck(name, "violated", c.witness.render())
 
 
 def verify_derivations(ac: AdjointConnection) -> tuple[ImplicationCheck, ImplicationCheck]:
     """RF0 implies RM0 and LF0 implies LM0 (never the converses)."""
     return (
-        _implies(ac, "RF0", "RM0", "RF0=>RM0"),
-        _implies(ac, "LF0", "LM0", "LF0=>LM0"),
+        _implication("RF0=>RM0", (eval_law("RF0", ac),), lambda: eval_law("RM0", ac)),
+        _implication("LF0=>LM0", (eval_law("LF0", ac),), lambda: eval_law("LM0", ac)),
     )
 
 
-def _biconditional(a: LawReport, b: LawReport, name) -> ImplicationCheck:
-    if a.skipped is not None or b.skipped is not None:
-        return ImplicationCheck(name, "skipped", True, a.skipped or b.skipped)
-    if a.holds == b.holds:
-        return ImplicationCheck(name, "agree", True)
-    return ImplicationCheck(name, "disagree", False, f"{a.law}={a.holds} {b.law}={b.holds}")
+def _biconditional(lhs, rhs, name) -> ImplicationCheck:
+    """The conjunction of the ``lhs`` reports is equivalent to that of ``rhs``."""
+    reports = (*lhs, *rhs)
+    skipped = _first_skip(reports)
+    if skipped is not None:
+        return ImplicationCheck(name, "skipped", skipped)
+    if all(r.holds for r in lhs) == all(r.holds for r in rhs):
+        return ImplicationCheck(name, "agree")
+    return ImplicationCheck(name, "disagree", " ".join(f"{r.law}={r.holds}" for r in reports))
 
 
 def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationCheck, ...]:
@@ -616,27 +643,18 @@ def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationChe
     """
     P, Q = ac.source, ac.target
     if not (P.is_lattice and P.is_bounded and Q.is_lattice and Q.is_bounded):
-        return (ImplicationCheck("modularity", "skipped", True, "P and Q must be bounded lattices"),)
+        return (ImplicationCheck("modularity", "skipped", "P and Q must be bounded lattices"),)
     checks = []
     if P.is_modular:
         lm0, lf0 = eval_law("LM0", ac), eval_law("LF0", ac)
-        checks.append(_biconditional(lm0, lf0, "LM0<=>LF0[P modular]"))
+        checks.append(_biconditional((lm0,), (lf0,), "LM0<=>LF0[P modular]"))
     if Q.is_modular:
         rm0, rf0 = eval_law("RM0", ac), eval_law("RF0", ac)
-        checks.append(_biconditional(rm0, rf0, "RM0<=>RF0[Q modular]"))
+        checks.append(_biconditional((rm0,), (rf0,), "RM0<=>RF0[Q modular]"))
     if P.is_modular and Q.is_modular:
-        lm0, rm0, lf0, rf0 = lm0.holds, rm0.holds, lf0.holds, rf0.holds
-        ok = (lm0 and rm0) == (lf0 and rf0)
-        checks.append(
-            ImplicationCheck(
-                "LM0&RM0<=>LF0&RF0[both modular]",
-                "agree" if ok else "disagree",
-                ok,
-                None if ok else f"LM0={lm0} RM0={rm0} LF0={lf0} RF0={rf0}",
-            )
-        )
+        checks.append(_biconditional((lm0, rm0), (lf0, rf0), "LM0&RM0<=>LF0&RF0[both modular]"))
     if not checks:
-        checks.append(ImplicationCheck("modularity", "skipped", True, "neither poset is modular"))
+        checks.append(ImplicationCheck("modularity", "skipped", "neither poset is modular"))
     return tuple(checks)
 
 
@@ -646,19 +664,11 @@ def verify_composition_stability(r: AdjointConnection, s: AdjointConnection, law
         raise UnsupportedLaw("composition stability is asserted for LF0 and RF0 only")
     if r.conn.target != s.conn.source:
         raise SourceTargetMismatch("connections are not composable")
-    name = f"{law_id} stable under composition"
-    a = eval_law(law_id, r)
-    b = eval_law(law_id, s)
-    if a.skipped is not None or b.skipped is not None:
-        return ImplicationCheck(name, "skipped", True, a.skipped or b.skipped)
-    if not (a.holds and b.holds):
-        return ImplicationCheck(name, "vacuous", True)
-    c = eval_law(law_id, compose_adjoint(r, s))
-    if c.skipped is not None:
-        return ImplicationCheck(name, "skipped", True, c.skipped)
-    if c.holds:
-        return ImplicationCheck(name, "holds", True)
-    return ImplicationCheck(name, "violated", False, c.witness.render())
+    return _implication(
+        f"{law_id} stable under composition",
+        (eval_law(law_id, r), eval_law(law_id, s)),
+        lambda: eval_law(law_id, compose_adjoint(r, s)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +687,14 @@ class Predicate:
         return self._eval(values)
 
 
+_MAX_PREDICATE_TOKENS = 200  # parsing and evaluation recurse once per nesting level
+
+
 def parse_predicate(text: str) -> Predicate:
-    """Parse a boolean combination of law names with ! & | and parentheses."""
+    """Parse a boolean combination of law names with ! & | and parentheses.
+
+    A predicate of more than 200 tokens is rejected before it is parsed.
+    """
     tokens = []
     i = 0
     while i < len(text):
@@ -696,6 +712,10 @@ def parse_predicate(text: str) -> Predicate:
             i = j
         else:
             raise PredicateSyntaxError(f"bad character {ch!r} in predicate")
+    if len(tokens) > _MAX_PREDICATE_TOKENS:
+        raise PredicateSyntaxError(
+            f"predicate has {len(tokens)} tokens, more than {_MAX_PREDICATE_TOKENS}"
+        )
     pos = 0
     laws: list[str] = []
 
@@ -807,32 +827,26 @@ def search_counterexample(
         from .posetgen import generated_lattices
 
         corpus.extend(generated_lattices(max_size))
+    if modular_only:
+        corpus = [L for L in corpus if L.is_modular]
     cases = 0
-    for P in corpus:
-        if modular_only and not P.is_modular:
-            continue
-        for Q in corpus:
-            if modular_only and not Q.is_modular:
-                continue
-            for ac in enumerate_adjoint_connections(P, Q):
-                values = {}
-                skipped = False
-                for law_id in predicate.laws:
-                    report = eval_law(law_id, ac)
-                    if report.skipped is not None:
-                        skipped = True
-                        break
-                    values[law_id] = report.holds
-                if skipped:
-                    continue
+    for connections in _pairs(_adjoint_connections, corpus):
+        for ac in connections:
+            values = {}
+            for law_id in predicate.laws:
+                report = eval_law(law_id, ac)
+                if report.skipped is not None:
+                    break
+                values[law_id] = report.holds
+            else:
                 cases += 1
                 if predicate.evaluate(values):
                     found = FoundCase(
-                        P.name,
-                        Q.name,
+                        ac.source.name,
+                        ac.target.name,
                         ac.left.values,
                         ac.right.values,
-                        tuple((law, values[law]) for law in predicate.laws),
+                        tuple(values.items()),
                     )
                     return SearchResult(found, cases)
     return SearchResult(None, cases)
@@ -840,11 +854,6 @@ def search_counterexample(
 
 # ---------------------------------------------------------------------------
 # Batch suites over a lattice corpus (used by the CLI `verify` verb)
-
-SUITE_ORDER = (
-    "lm", "rm", "rm045", "lm045", "lf", "rf", "derivations", "modularity", "composition",
-)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -875,75 +884,69 @@ def _vector(rep: EquivalenceReport) -> str:
 
 def _inconsistent(theorem: str, ac: AdjointConnection) -> tuple[str, ...]:
     rep = verify_theorem(theorem, ac)
-    return () if rep.consistent else (_vector(rep),)
+    return () if rep.consistent else (f"{_describe(ac)} {_vector(rep)}",)
 
 
-def _violated(checks) -> tuple[str, ...]:
-    return tuple(f"{chk.name}: {chk.detail}" for chk in checks if not chk.ok)
+def _violated(legs, checks) -> list[str]:
+    """A line per failed check, naming the connections ``legs`` it read."""
+    return [
+        f"{' ; '.join(map(_describe, legs))} {chk.name}: {chk.detail}" for chk in checks if not chk.ok
+    ]
 
 
-# suite -> (connections of each ordered pair, failure lines of one connection)
-_PER_CONNECTION_SUITES = {
-    **{
-        name: (connections, partial(_inconsistent, name))
-        for name, (connections, _, _) in THEOREMS.items()
-    },
-    "derivations": (_adjoint_connections, lambda ac: _violated(verify_derivations(ac))),
-    "modularity": (
-        _adjoint_connections, lambda ac: _violated(verify_modularity_refinements(ac)),
-    ),
-}
-
-
-def _per_connection_suite(name, lattices, connections, failures) -> SuiteResult:
-    pairs = cases = disagreements = 0
-    details = []
+def _composable(lattices):
+    """Per triple P -> Q -> S with adjoint connections on both legs, its cases (r, s, law)."""
     for P in lattices:
         for Q in lattices:
-            pairs += 1
-            for ac in connections(P, Q):
-                cases += 1
-                for failure in failures(ac):
-                    disagreements += 1
-                    details.append(f"disagree {name} {_describe(ac)} {failure}")
-    return SuiteResult(name, len(lattices), pairs, cases, disagreements, tuple(details))
-
-
-def suite_composition(lattices):
-    """LF0/RF0 composition stability over catalog lattices of size <= 4."""
-    small = [L for L in lattices if L.size <= 4]
-    triples = cases = disagreements = 0
-    details = []
-    for P in small:
-        for Q in small:
             first = enumerate_adjoint_connections(P, Q)
             if not first:
                 continue
-            for S in small:
+            for S in lattices:
                 second = enumerate_adjoint_connections(Q, S)
-                if not second:
-                    continue
-                triples += 1
-                for r in first:
-                    for s in second:
-                        for law_id in ("LF0", "RF0"):
-                            cases += 1
-                            chk = verify_composition_stability(r, s, law_id)
-                            if not chk.ok:
-                                disagreements += 1
-                                details.append(
-                                    f"disagree composition {_describe(r)} ; {_describe(s)} "
-                                    f"{chk.name}: {chk.detail}"
-                                )
-    return SuiteResult("composition", len(small), triples, cases, disagreements, tuple(details))
+                if second:
+                    yield product(first, second, ("LF0", "RF0"))
+
+
+# suite -> (the lattices it visits, the cases of each unit it walks over
+# them, the failure lines of one case).  A unit is an ordered pair (P, Q)
+# whose cases are its connections, except in composition.
+SUITES = {
+    **{
+        name: (lambda L: True, partial(_pairs, connections), partial(_inconsistent, name))
+        for name, (connections, _, _) in THEOREMS.items()
+    },
+    "derivations": (
+        lambda L: True,
+        partial(_pairs, _adjoint_connections),
+        lambda ac: _violated((ac,), verify_derivations(ac)),
+    ),
+    "modularity": (
+        lambda L: True,
+        partial(_pairs, _adjoint_connections),
+        lambda ac: _violated((ac,), verify_modularity_refinements(ac)),
+    ),
+    "composition": (
+        lambda L: L.size <= 4,
+        _composable,
+        lambda case: _violated(case[:2], (verify_composition_stability(*case),)),
+    ),
+}
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, lattices: Sequence[FiniteLattice]) -> SuiteResult:
-    lattices = list(lattices)
-    if name == "composition":
-        return suite_composition(lattices)
+    """Run one suite: its units count as pairs, and each failure line as a disagreement."""
     try:
-        connections, failures = _PER_CONNECTION_SUITES[name]
+        visits, units, failures = SUITES[name]
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}") from None
-    return _per_connection_suite(name, lattices, connections, failures)
+    lattices = [L for L in lattices if visits(L)]
+    pairs = cases = 0
+    details = []
+    for unit in units(lattices):
+        pairs += 1
+        for case in unit:
+            cases += 1
+            for line in failures(case):
+                details.append(f"disagree {name} {line}")
+    return SuiteResult(name, len(lattices), pairs, cases, len(details), tuple(details))

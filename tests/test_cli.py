@@ -120,9 +120,8 @@ def test_laws_failing_connection_exits_1(capsys):
 
 
 def test_laws_unknown_law(capsys):
-    code, _, err = invoke(capsys, "laws", str(DATA / "idC3.conn"), "--law", "ZZ1")
-    assert code == 2
-    assert "unknown law" in err
+    code, out, err = invoke(capsys, "laws", str(DATA / "idC3.conn"), "--law", "ZZ1")
+    assert (code, out, err) == (2, "", "error: unknown law 'ZZ1'\n")
 
 
 def test_verify_composition_suite(capsys):
@@ -206,6 +205,13 @@ def test_search_bad_predicate(capsys):
     assert "predicate" in err or "unexpected" in err
     code, out, err = invoke(capsys, "search", "--predicate", "LM0 & ZZ1", "--max-size", "4")
     assert (code, out, err) == (2, "", "error: unknown law 'ZZ1' in predicate\n")
+
+
+def test_search_rejects_predicates_too_deep_to_evaluate(capsys):
+    for predicate in ("(" * 250 + "LM0" + ")" * 250, "!" * 1000 + "LM0", " & ".join(["LM0"] * 1500)):
+        code, out, err = invoke(capsys, "search", "--predicate", predicate, "--max-size", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "more than 200" in err and len(err.splitlines()) == 1
 
 
 def test_search_modular_all_lattices_finds_no_counterexample(capsys):

@@ -417,6 +417,11 @@ def test_law_errors_are_typed(n5):
         (PredicateSyntaxError, "unexpected end", lambda: parse_predicate("LM0 &")),
         (PredicateSyntaxError, "expected ')', found 'LM1'", lambda: parse_predicate("(LM0 LM1")),
         (PredicateSyntaxError, "trailing tokens", lambda: parse_predicate("LM0 LM1")),
+        # Each of these would overflow the stack in parsing or in evaluation.
+        (PredicateSyntaxError, "more than 200", lambda: parse_predicate("(" * 250 + "LM0" + ")" * 250)),
+        (PredicateSyntaxError, "more than 200", lambda: parse_predicate("!" * 1000 + "LM0")),
+        (PredicateSyntaxError, "more than 200", lambda: parse_predicate(" & ".join(["LM0"] * 1500))),
+        (PredicateSyntaxError, "201 tokens", lambda: parse_predicate("!" * 200 + "LM0")),
         (UnknownSuite, "unknown suite 'nope'", lambda: run_suite("nope", [n5])),
         (UnknownSuite, "unknown theorem 'nope'", lambda: verify_theorem("nope", ac)),
         (UnsupportedLaw, "LF0 and RF0 only", lambda: verify_composition_stability(ac, ac, "LM0")),
@@ -426,6 +431,18 @@ def test_law_errors_are_typed(n5):
             call()
         assert type(info.value) is cls and isinstance(info.value, ValueError)
         assert message in str(info.value)
+
+
+def test_predicates_of_200_tokens_parse_and_evaluate():
+    deepest = {
+        "(" * 99 + "LM0" + ")" * 99: True,
+        "!" * 199 + "LM0": False,
+        " & ".join(["LM0"] * 100): True,
+    }
+    for text, value in deepest.items():
+        pred = parse_predicate(text)
+        assert pred.laws == ("LM0",)
+        assert pred.evaluate({"LM0": True}) is value
 
 
 def test_predicate_parser_errors():
@@ -479,3 +496,29 @@ def test_suite_lf_counts_all_monotone_maps(c2, c3):
     )
     assert result.cases == expected
     assert result.disagreements == 0
+
+
+def test_suite_counts_on_bare_posets(c2, b2, bare_posets):
+    """Every suite's lattices, pairs and cases, recounted from the enumerations.
+
+    Several legs between these posets have no adjoint connection, so the
+    composition suite skips triples on either leg.
+    """
+    by_name = {L.name: L for L in bare_posets}
+    corpus = [c2, b2, by_name["A2"], by_name["L3"], by_name["E0"]]
+    pairs = [(P, Q) for P in corpus for Q in corpus]
+    adjoint = sum(len(enumerate_adjoint_connections(P, Q)) for P, Q in pairs)
+    monotone = sum(len(monotone_maps(P, Q)) for P, Q in pairs)
+    expected = {name: (5, 25, adjoint) for name in ("lm", "rm", "rm045", "lm045", "derivations", "modularity")}
+    expected["lf"] = expected["rf"] = (5, 25, monotone)
+    small = [L for L in corpus if L.size <= 4]
+    legs = [
+        (len(enumerate_adjoint_connections(P, Q)), len(enumerate_adjoint_connections(Q, S)))
+        for P in small for Q in small for S in small
+    ]
+    composable = [(m, n) for m, n in legs if m and n]
+    expected["composition"] = (len(small), len(composable), sum(2 * m * n for m, n in composable))
+    assert (len(composable), len(legs), expected["composition"][2]) == (17, 125, 1246)
+    for name, counts in expected.items():
+        result = run_suite(name, corpus)
+        assert (result.lattices, result.pairs, result.cases) == counts, name
