@@ -163,3 +163,88 @@ def test_random_directive_soup_raises_only_ordbench_errors(lines):
         parse_text(text)
     except OrdbenchError:
         pass
+
+
+P_AB = "poset P\nelem a b\nle a b\n"
+M3_BAD_QUANTALE = (
+    "poset M3\nelem bot a b c top\n"
+    "le bot a\nle bot b\nle bot c\nle a top\nle b top\nle c top\n"
+    "quantale Q over M3\n"
+    "mul bot bot bot\nmul bot a bot\nmul bot b bot\nmul bot c bot\nmul bot top bot\n"
+    "mul a a a\nmul a b bot\nmul a c bot\nmul a top a\n"
+    "mul b b b\nmul b c bot\nmul b top b\nmul c c c\nmul c top c\nmul top top top\n"
+)
+
+# One document per error site of the parser, with its exact line and message;
+# the last rows pin which rule wins when a line breaks several.
+PARSE_ERRORS = [
+    # usage
+    ("poset\n", 1, "usage: poset <name>"),
+    (P_AB + "le a\n", 4, "usage: le <labelA> <labelB>"),
+    (P_AB + "map f P\n", 4, "usage: map <name> <sourcePoset> <targetPoset>"),
+    (P_AB + "map f P P\nsend a\n", 5, "usage: send <sourceLabel> <targetLabel>"),
+    (P_AB + "conn c P\n", 4, "usage: conn <name> <sourcePoset> <targetPoset>"),
+    (P_AB + "conn c P P\nrel a a a\n", 5, "usage: rel <sourceLabel> <targetLabel>"),
+    (P_AB + "quantale Q on P\n", 4, "usage: quantale <name> over <posetName>"),
+    (P_AB + "quantale Q over\n", 4, "usage: quantale <name> over <posetName>"),
+    (P_AB + "quantale Q over P\nmul a a\n", 5, "usage: mul <labelA> <labelB> <labelC>"),
+    # owning block
+    ("elem a\n", 1, "elem outside a poset block"),
+    (P_AB + "map f P P\nle a a\n", 5, "le outside a poset block"),
+    (P_AB + "send a a\n", 4, "send outside a map block"),
+    (P_AB + "rel a a\n", 4, "rel outside a conn block"),
+    (P_AB + "map f P P\nsend a a\nsend b b\nmul a a a\n", 7, "mul outside a quantale block"),
+    # duplicate names
+    (P_AB + "poset P\n", 4, "duplicate poset name 'P'"),
+    (P_AB + "map f P P\nsend a a\nsend b b\nmap f P P\n", 7, "duplicate map name 'f'"),
+    (P_AB + "conn c P P\nconn c P P\n", 5, "duplicate connection name 'c'"),
+    (
+        "poset P\nelem a\nquantale Q over P\nmul a a a\nquantale Q over P\n",
+        5,
+        "duplicate quantale name 'Q'",
+    ),
+    # poset references and label membership
+    ("conn c P P\n", 1, "unknown poset 'P'"),
+    (P_AB + "map f P R\n", 4, "unknown poset 'R'"),
+    (P_AB + "quantale Q over R\n", 4, "unknown poset 'R'"),
+    (P_AB + "le a c\n", 4, "unknown label 'c'"),
+    (P_AB + "quantale Q over P\nmul a c a\n", 5, "unknown label 'c'"),
+    (P_AB + "map f P P\nsend c a\n", 5, "unknown source label 'c'"),
+    (P_AB + "conn c P P\nrel c a\n", 5, "unknown source label 'c'"),
+    (P_AB + "map f P P\nsend a c\n", 5, "unknown target label 'c'"),
+    (P_AB + "conn c P P\nrel a c\n", 5, "unknown target label 'c'"),
+    # rules of a single directive
+    ("poset P\nelem a b\nelem c a\n", 3, "duplicate label 'a'"),
+    (P_AB + "map f P P\nsend a a\nsend a b\n", 6, "duplicate send for 'a'"),
+    (P_AB + "quantale Q over P\nmul a b a\nmul b a b\n", 6, "conflicting product b*a: a vs b"),
+    ("posett P\n", 1, "unknown directive 'posett'"),
+    # building a block, reported at its header
+    ("poset P\nelem a b\nle a b\nle b a\n", 1, "P: elements 'a' and 'b' lie on a cycle"),
+    (P_AB + "map f P P\nsend a a\n", 4, "map 'f' missing send for 'b'"),
+    (
+        P_AB + "map f P P\nsend a b\nsend b a\n",
+        4,
+        "map 'f' is not monotone: a <= b but b !<= a",
+    ),
+    (
+        P_AB + "conn c P P\nrel b a\n",
+        4,
+        "connection 'c' violates weakening: b <= b rel a <= b requires rel b b",
+    ),
+    (P_AB + "quantale Q over P\nmul a a a\n", 4, "quantale 'Q' missing product a*b"),
+    (M3_BAD_QUANTALE, 9, "quantale 'Q' invalid: a*(b v c) = a but (a*b) v (a*c) = bot"),
+    # precedence
+    ("send a\n", 1, "send outside a map block"),
+    ("map f P\n", 1, "usage: map <name> <sourcePoset> <targetPoset>"),
+    (P_AB + "le c\n", 4, "usage: le <labelA> <labelB>"),
+    (P_AB + "map f P P\nmap f P P\n", 4, "map 'f' missing send for 'a'"),
+    ("poset P\nelem a b\nle a b\nle b a\nposet\n", 1, "P: elements 'a' and 'b' lie on a cycle"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+def test_parse_errors_pin_line_and_message(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_text(text)
+    assert (exc.value.line, exc.value.message) == (line, message)
+    assert str(exc.value) == f"<string>:{line}: {message}"

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
@@ -106,3 +107,33 @@ def test_generation_rejects_negative_sizes():
         with pytest.raises(SizeBoundExceeded):
             generated_lattices(size)
     assert generated_lattices(0) == ()
+
+
+# generated_lattices(6), pinned: each name with its order table as the int whose
+# bit i*k + j is set iff i <= j; every lattice is labelled "0".."k-1".
+GENERATED_6 = [
+    ("G1.0", 1), ("G2.0", 11), ("G3.0", 311), ("G4.0", 36015), ("G4.1", 36079),
+    ("G5.0", 17584735), ("G5.1", 17584863), ("G5.2", 17585119),
+    ("G5.3", 17593183), ("G5.4", 17593311),
+    ("G6.0", 35175680191), ("G6.1", 35175680447), ("G6.2", 35175680959),
+    ("G6.3", 35175681983), ("G6.4", 35175713471), ("G6.5", 35175713727),
+    ("G6.6", 35175713983), ("G6.7", 35175714495), ("G6.8", 35175714751),
+    ("G6.9", 35175780287), ("G6.10", 35179941055), ("G6.11", 35179941311),
+    ("G6.12", 35179941823), ("G6.13", 35179974335), ("G6.14", 35179974591),
+]
+GENERATED_6_TABLES_SHA256 = "30e3566bb1b635f5d9a270a6429082b64696307df6b7e3668a04dfd1ba6f0019"
+
+
+def test_generated_lattices_are_pinned():
+    full = generated_lattices(6)
+    pinned = []
+    for L in full:
+        k = L.size
+        assert L.labels == tuple(str(i) for i in range(k))
+        code = sum(1 << (i * k + j) for i in range(k) for j in range(k) if L.leq[i][j])
+        pinned.append((L.name, code))
+    assert pinned == GENERATED_6
+    tables = repr([(L.name, L.labels, L.leq, L.meet, L.join, L.bottom, L.top) for L in full])
+    assert hashlib.sha256(tables.encode()).hexdigest() == GENERATED_6_TABLES_SHA256
+    for n in range(7):
+        assert generated_lattices(n) == tuple(L for L in full if L.size <= n)
