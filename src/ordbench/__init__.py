@@ -12,6 +12,7 @@ from .errors import (
     DuplicateLabel,
     IndexOutOfRange,
     InvalidModulus,
+    MissingBlock,
     MissingAdjoint,
     NotAdjoint,
     NotAnOrder,
@@ -20,14 +21,17 @@ from .errors import (
     NotCommutative,
     NotJoinPreserving,
     NotMonotone,
+    NotUTF8,
     OrdbenchError,
     ParseError,
     PredicateSyntaxError,
+    QuantaleAxiomError,
     SizeBoundExceeded,
     SourceTargetMismatch,
     UnknownLabel,
     UnknownLaw,
     UnknownSuite,
+    UnreadableFile,
     UnsupportedLaw,
 )
 from .lattice import (

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import OrdbenchError, UnknownLaw
+from .errors import MissingBlock, OrdbenchError, UnknownLaw
 from .lattice import catalog
 from .connection import AdjointConnection, find_left_adjoint, find_right_adjoint
 from .laws import LAW_IDS, SUITE_ORDER, eval_law, parse_predicate, run_suite, search_counterexample
+from .posetgen import MAX_GENERATED_SIZE
 from .quantale import is_principal, is_weak_principal, zn_ideal_quantale
 from .textio import parse_file
 
@@ -33,7 +34,7 @@ def _blocks(doc, kind: str, path) -> list[str]:
     """Names of the file's blocks of one kind, in file order; none is an input error."""
     names = [name for k, name in doc.order if k == kind]
     if not names:
-        raise OrdbenchError(f"{path}: no {kind} block")
+        raise MissingBlock(f"{path}: no {kind} block")
     return names
 
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-lattices",
         action="store_true",
         dest="all_lattices",
-        help="also search every generated lattice up to isomorphism (size <= 6)",
+        help=f"also search every generated lattice up to isomorphism (size <= {MAX_GENERATED_SIZE})",
     )
     p.set_defaults(fn=cmd_search)
     return parser

@@ -65,22 +65,24 @@ class UnknownSuite(OrdbenchError, ValueError):
     """A suite name that is not in the suite table."""
 
 
-class NotCommutative(OrdbenchError):
+class QuantaleAxiomError(OrdbenchError):
+    """A multiplication table fails a quantale axiom; ``witness`` holds the elements."""
+
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
-class NotAssociative(OrdbenchError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotCommutative(QuantaleAxiomError):
+    pass
 
 
-class NotJoinPreserving(OrdbenchError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotAssociative(QuantaleAxiomError):
+    pass
+
+
+class NotJoinPreserving(QuantaleAxiomError):
+    pass
 
 
 class InvalidModulus(OrdbenchError):
@@ -99,3 +101,15 @@ class ParseError(OrdbenchError):
         self.filename = filename
         self.line = line
         self.message = message
+
+
+class UnreadableFile(OrdbenchError):
+    """An input file that cannot be opened or read."""
+
+
+class NotUTF8(OrdbenchError):
+    """An input file that is not UTF-8 text."""
+
+
+class MissingBlock(OrdbenchError):
+    """An input file with no block of the kind a verb reads."""

@@ -4,6 +4,13 @@ One directive per line, tokens whitespace-separated, '#' starts a comment,
 parsing is case-sensitive.  A file may declare any number of posets, maps,
 connections and quantales; later blocks may reference earlier posets by
 name.  Connections are validated against the weakening law at parse time.
+
+A header (``poset``, ``map``, ``conn``, ``quantale``) closes the open
+block and opens one; a line (``elem``, ``le``, ``send``, ``rel``, ``mul``) adds
+to the open block of the kind that owns it.  Each directive's shape is its
+usage text: ``<...>`` is one token, whose name says what it must name, other
+words are literal, and a trailing ``...`` takes any number of tokens.  A
+block is built, and its errors reported at its header, when it is closed.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import OrdbenchError, ParseError
+from .errors import NotUTF8, OrdbenchError, ParseError, UnreadableFile
 from .lattice import FiniteLattice, MonotoneMap, build_poset
 from .connection import Connection, find_weakening_violation
 from .quantale import Quantale, build_quantale
@@ -26,146 +33,136 @@ class Document:
     order: list[tuple[str, str]] = field(default_factory=list)  # (kind, name)
 
 
+# header directive -> (Document field, word of the duplicate-name error, shape)
+_HEADERS = {
+    "poset": ("posets", "poset", "<name>"),
+    "map": ("maps", "map", "<name> <sourcePoset> <targetPoset>"),
+    "conn": ("connections", "connection", "<name> <sourcePoset> <targetPoset>"),
+    "quantale": ("quantales", "quantale", "<name> over <posetName>"),
+}
+# line directive -> (kind of the block that owns it, shape)
+_LINES = {
+    "elem": ("poset", "<label> ..."),
+    "le": ("poset", "<labelA> <labelB>"),
+    "send": ("map", "<sourceLabel> <targetLabel>"),
+    "rel": ("conn", "<sourceLabel> <targetLabel>"),
+    "mul": ("quantale", "<labelA> <labelB> <labelC>"),
+}
+_POSET_TOKENS = {"<sourcePoset>", "<targetPoset>", "<posetName>"}
+# label placeholder -> (side of the block it names, 0 source or 1 target; error word)
+_LABEL_TOKENS = {
+    "<labelA>": (0, "label"), "<labelB>": (0, "label"), "<labelC>": (0, "label"),
+    "<sourceLabel>": (0, "source label"), "<targetLabel>": (1, "target label"),
+}
+
+
+@dataclass
+class _Block:
+    kind: str
+    name: str
+    line: int
+    posets: tuple[FiniteLattice, ...]  # the posets its header names, in order
+    labels: list[str] = field(default_factory=list)  # poset: its elements
+    pairs: list[tuple[str, str]] = field(default_factory=list)  # poset: le; conn: rel
+    values: dict = field(default_factory=dict)  # map: x -> f(x); quantale: (a, b) -> a*b
+
+    @property
+    def scopes(self):
+        """The labels a token may name on the source and on the target side."""
+        if self.kind == "poset":
+            return self.labels, self.labels
+        return self.posets[0].labels, self.posets[-1].labels
+
+
 class _Parser:
     def __init__(self, filename: str):
         self.filename = filename
         self.doc = Document()
-        self.block = None  # (kind, name, start_line, payload)
+        self.block = None
 
     def fail(self, line: int, message: str):
         raise ParseError(self.filename, line, message)
 
-    def poset(self, name: str, line: int) -> FiniteLattice:
-        if name not in self.doc.posets:
-            self.fail(line, f"unknown poset {name!r}")
-        return self.doc.posets[name]
-
     def feed(self, lineno: int, tokens: list[str]):
-        head = tokens[0]
-        if head in ("poset", "map", "conn", "quantale"):
+        head, args = tokens[0], tokens[1:]
+        if head in _HEADERS:
             self.finish()
-        if head == "poset":
-            if len(tokens) != 2:
-                self.fail(lineno, "usage: poset <name>")
-            if tokens[1] in self.doc.posets:
-                self.fail(lineno, f"duplicate poset name {tokens[1]!r}")
-            self.block = ("poset", tokens[1], lineno, {"labels": [], "le": []})
-        elif head == "elem":
-            if self.block is None or self.block[0] != "poset":
-                self.fail(lineno, "elem outside a poset block")
-            labels = self.block[3]["labels"]
-            for lab in tokens[1:]:
-                if lab in labels:
-                    self.fail(lineno, f"duplicate label {lab!r}")
-                labels.append(lab)
-        elif head == "le":
-            if self.block is None or self.block[0] != "poset":
-                self.fail(lineno, "le outside a poset block")
-            if len(tokens) != 3:
-                self.fail(lineno, "usage: le <labelA> <labelB>")
-            labels = self.block[3]["labels"]
-            for lab in tokens[1:]:
-                if lab not in labels:
-                    self.fail(lineno, f"unknown label {lab!r}")
-            self.block[3]["le"].append((tokens[1], tokens[2]))
-        elif head == "map":
-            if len(tokens) != 4:
-                self.fail(lineno, "usage: map <name> <sourcePoset> <targetPoset>")
-            if tokens[1] in self.doc.maps:
-                self.fail(lineno, f"duplicate map name {tokens[1]!r}")
-            src = self.poset(tokens[2], lineno)
-            dst = self.poset(tokens[3], lineno)
-            self.block = ("map", tokens[1], lineno, {"src": src, "dst": dst, "sends": {}})
-        elif head == "send":
-            if self.block is None or self.block[0] != "map":
-                self.fail(lineno, "send outside a map block")
-            if len(tokens) != 3:
-                self.fail(lineno, "usage: send <sourceLabel> <targetLabel>")
-            payload = self.block[3]
-            src, dst = payload["src"], payload["dst"]
-            if tokens[1] not in src.labels:
-                self.fail(lineno, f"unknown source label {tokens[1]!r}")
-            if tokens[2] not in dst.labels:
-                self.fail(lineno, f"unknown target label {tokens[2]!r}")
-            if tokens[1] in payload["sends"]:
-                self.fail(lineno, f"duplicate send for {tokens[1]!r}")
-            payload["sends"][tokens[1]] = tokens[2]
-        elif head == "conn":
-            if len(tokens) != 4:
-                self.fail(lineno, "usage: conn <name> <sourcePoset> <targetPoset>")
-            if tokens[1] in self.doc.connections:
-                self.fail(lineno, f"duplicate connection name {tokens[1]!r}")
-            src = self.poset(tokens[2], lineno)
-            dst = self.poset(tokens[3], lineno)
-            self.block = ("conn", tokens[1], lineno, {"src": src, "dst": dst, "pairs": []})
-        elif head == "rel":
-            if self.block is None or self.block[0] != "conn":
-                self.fail(lineno, "rel outside a conn block")
-            if len(tokens) != 3:
-                self.fail(lineno, "usage: rel <sourceLabel> <targetLabel>")
-            payload = self.block[3]
-            if tokens[1] not in payload["src"].labels:
-                self.fail(lineno, f"unknown source label {tokens[1]!r}")
-            if tokens[2] not in payload["dst"].labels:
-                self.fail(lineno, f"unknown target label {tokens[2]!r}")
-            payload["pairs"].append((tokens[1], tokens[2]))
-        elif head == "quantale":
-            if len(tokens) != 4 or tokens[2] != "over":
-                self.fail(lineno, "usage: quantale <name> over <posetName>")
-            if tokens[1] in self.doc.quantales:
-                self.fail(lineno, f"duplicate quantale name {tokens[1]!r}")
-            base = self.poset(tokens[3], lineno)
-            self.block = ("quantale", tokens[1], lineno, {"base": base, "mul": {}})
-        elif head == "mul":
-            if self.block is None or self.block[0] != "quantale":
-                self.fail(lineno, "mul outside a quantale block")
-            if len(tokens) != 4:
-                self.fail(lineno, "usage: mul <labelA> <labelB> <labelC>")
-            base = self.block[3]["base"]
-            for lab in tokens[1:]:
-                if lab not in base.labels:
-                    self.fail(lineno, f"unknown label {lab!r}")
-            a, b, c = (base.index(lab) for lab in tokens[1:])
-            mul = self.block[3]["mul"]
-            for key in ((a, b), (b, a)):  # symmetric closure
-                if key in mul and mul[key] != c:
-                    self.fail(
-                        lineno,
-                        f"conflicting product {tokens[1]}*{tokens[2]}: "
-                        f"{base.labels[mul[key]]} vs {tokens[3]}",
-                    )
-                mul[key] = c
+            field_name, word, shape = _HEADERS[head]
+        elif head in _LINES:
+            kind, shape = _LINES[head]
+            if self.block is None or self.block.kind != kind:
+                self.fail(lineno, f"{head} outside a {kind} block")
         else:
             self.fail(lineno, f"unknown directive {head!r}")
+        words = shape.split()
+        if words[-1] != "..." and (
+            len(args) != len(words)
+            or any(w != a for w, a in zip(words, args) if not w.startswith("<"))
+        ):
+            self.fail(lineno, f"usage: {head} {shape}")
+        if head in _HEADERS:
+            if args[0] in getattr(self.doc, field_name):
+                self.fail(lineno, f"duplicate {word} name {args[0]!r}")
+            for w, a in zip(words, args):
+                if w in _POSET_TOKENS and a not in self.doc.posets:
+                    self.fail(lineno, f"unknown poset {a!r}")
+            posets = tuple(self.doc.posets[a] for w, a in zip(words, args) if w in _POSET_TOKENS)
+            self.block = _Block(head, args[0], lineno, posets)
+            return
+        block = self.block
+        for w, a in zip(words, args):
+            if w in _LABEL_TOKENS:
+                side, word = _LABEL_TOKENS[w]
+                if a not in block.scopes[side]:
+                    self.fail(lineno, f"unknown {word} {a!r}")
+        if head == "elem":
+            for lab in args:
+                if lab in block.labels:
+                    self.fail(lineno, f"duplicate label {lab!r}")
+                block.labels.append(lab)
+        elif head == "send":
+            src, dst = block.posets
+            x = src.index(args[0])
+            if x in block.values:
+                self.fail(lineno, f"duplicate send for {args[0]!r}")
+            block.values[x] = dst.index(args[1])
+        elif head == "mul":
+            base = block.posets[0]
+            a, b, c = map(base.index, args)
+            for key in ((a, b), (b, a)):  # symmetric closure
+                if block.values.get(key, c) != c:
+                    self.fail(
+                        lineno,
+                        f"conflicting product {args[0]}*{args[1]}: "
+                        f"{base.labels[block.values[key]]} vs {args[2]}",
+                    )
+                block.values[key] = c
+        else:  # le, rel
+            block.pairs.append((args[0], args[1]))
 
     def finish(self):
-        if self.block is None:
+        block, self.block = self.block, None
+        if block is None:
             return
-        kind, name, lineno, payload = self.block
-        self.block = None
-        if kind == "poset":
+        name, lineno = block.name, block.line
+        if block.kind == "poset":
             try:
-                built = build_poset(name, payload["labels"], payload["le"])
+                built = build_poset(name, block.labels, block.pairs)
             except OrdbenchError as exc:
                 self.fail(lineno, str(exc))
-            self.doc.posets[name] = built
-        elif kind == "map":
-            src, dst = payload["src"], payload["dst"]
-            missing = [lab for lab in src.labels if lab not in payload["sends"]]
+        elif block.kind == "map":
+            src, dst = block.posets
+            missing = [lab for x, lab in enumerate(src.labels) if x not in block.values]
             if missing:
                 self.fail(lineno, f"map {name!r} missing send for {missing[0]!r}")
-            values = tuple(dst.index(payload["sends"][lab]) for lab in src.labels)
             try:
-                built = MonotoneMap(src, dst, values)
+                built = MonotoneMap(src, dst, tuple(block.values[x] for x in range(src.size)))
             except OrdbenchError as exc:
                 self.fail(lineno, f"map {name!r} is not monotone: {exc}")
-            self.doc.maps[name] = built
-        elif kind == "conn":
-            src, dst = payload["src"], payload["dst"]
-            rel = [[False] * dst.size for _ in range(src.size)]
-            for a_lab, b_lab in payload["pairs"]:
-                rel[src.index(a_lab)][dst.index(b_lab)] = True
-            rel = tuple(tuple(row) for row in rel)
+        elif block.kind == "conn":
+            src, dst = block.posets
+            pairs = set(block.pairs)
+            rel = tuple(tuple((a, b) in pairs for b in dst.labels) for a in src.labels)
             violation = find_weakening_violation(src, dst, rel)
             if violation is not None:
                 a, b, c, d = violation
@@ -175,28 +172,20 @@ class _Parser:
                     f"{src.labels[a]} <= {src.labels[b]} rel {dst.labels[c]} <= {dst.labels[d]} "
                     f"requires rel {src.labels[a]} {dst.labels[d]}",
                 )
-            self.doc.connections[name] = Connection(src, dst, rel)
-        elif kind == "quantale":
-            base = payload["base"]
-            mul = payload["mul"]
-            table = []
-            for a in range(base.size):
-                row = []
-                for b in range(base.size):
-                    if (a, b) not in mul:
-                        self.fail(
-                            lineno,
-                            f"quantale {name!r} missing product "
-                            f"{base.labels[a]}*{base.labels[b]}",
-                        )
-                    row.append(mul[(a, b)])
-                table.append(tuple(row))
+            built = Connection(src, dst, rel)
+        else:
+            base, n = block.posets[0], block.posets[0].size
+            missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in block.values]
+            if missing:
+                a, b = (base.labels[x] for x in missing[0])
+                self.fail(lineno, f"quantale {name!r} missing product {a}*{b}")
+            table = tuple(tuple(block.values[a, b] for b in range(n)) for a in range(n))
             try:
-                built = build_quantale(base, tuple(table))
+                built = build_quantale(base, table)
             except OrdbenchError as exc:
                 self.fail(lineno, f"quantale {name!r} invalid: {exc}")
-            self.doc.quantales[name] = built
-        self.doc.order.append((kind, name))
+        getattr(self.doc, _HEADERS[block.kind][0])[name] = built
+        self.doc.order.append((block.kind, name))
 
 
 def parse_text(text: str, filename: str = "<string>") -> Document:
@@ -215,7 +204,7 @@ def parse_file(path) -> Document:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise OrdbenchError(f"{path}: cannot read: {exc.strerror or exc}") from None
+        raise UnreadableFile(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise OrdbenchError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise NotUTF8(f"{path}: not UTF-8 text at byte {exc.start}") from None
     return parse_text(text, str(path))

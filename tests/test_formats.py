@@ -3,7 +3,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordbench import OrdbenchError, ParseError, parse_file, parse_text
+from ordbench import (
+    MissingBlock,
+    NotUTF8,
+    OrdbenchError,
+    ParseError,
+    UnreadableFile,
+    parse_file,
+    parse_text,
+)
+from ordbench.cli import _blocks
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,3 +257,21 @@ def test_parse_errors_pin_line_and_message(text, line, message):
         parse_text(text)
     assert (exc.value.line, exc.value.message) == (line, message)
     assert str(exc.value) == f"<string>:{line}: {message}"
+
+
+def test_input_errors_are_typed(tmp_path):
+    latin1 = tmp_path / "latin1.poset"
+    latin1.write_bytes(b"poset C2 \xe9 b\n")
+    frame = DATA / "frame3.q"
+    cases = [
+        (UnreadableFile, f"{tmp_path / 'missing.conn'}: cannot read: No such file or directory",
+         lambda: parse_file(tmp_path / "missing.conn")),
+        (UnreadableFile, f"{tmp_path}: cannot read: Is a directory", lambda: parse_file(tmp_path)),
+        (NotUTF8, f"{latin1}: not UTF-8 text at byte 9", lambda: parse_file(latin1)),
+        (MissingBlock, f"{frame}: no conn block", lambda: _blocks(parse_file(frame), "conn", frame)),
+    ]
+    for cls, message, call in cases:
+        with pytest.raises(OrdbenchError) as info:
+            call()
+        assert type(info.value) is cls
+        assert str(info.value) == message

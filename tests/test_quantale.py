@@ -10,6 +10,7 @@ from ordbench import (
     NotCommutative,
     NotJoinPreserving,
     Quantale,
+    QuantaleAxiomError,
     SizeBoundExceeded,
     build_poset,
     build_quantale,
@@ -56,15 +57,25 @@ def test_unbounded_lattice_rejected():
 
 
 def test_non_commutative_rejected(c2):
-    with pytest.raises(NotCommutative):
+    with pytest.raises(NotCommutative) as exc:
         build_quantale(c2, ((0, 0), (1, 1)))
+    assert exc.value.witness == (0, 1)
 
 
 def test_non_associative_rejected(c3):
     # symmetric but (1*1)*2 = 2*2 = 2 while 1*(1*2) = 1*0 = 0
     table = ((0, 0, 0), (0, 2, 0), (0, 0, 2))
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative) as exc:
         build_quantale(c3, table)
+    assert exc.value.witness == (1, 1, 2)
+
+
+def test_axiom_errors_share_one_witness_base():
+    for cls in (NotCommutative, NotAssociative, NotJoinPreserving):
+        assert cls.__bases__ == (QuantaleAxiomError,)
+        err = cls("message", witness=(0, 1))
+        assert (str(err), err.witness) == ("message", (0, 1))
+        assert cls("message").witness is None
 
 
 def test_invalid_modulus():
