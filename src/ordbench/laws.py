@@ -57,6 +57,7 @@ from .errors import (
     UnknownSuite,
     UnsupportedLaw,
 )
+from . import posetgen
 from .lattice import FiniteLattice, catalog, monotone_maps
 from .connection import (
     AdjointConnection,
@@ -469,16 +470,20 @@ def _witness(law: _LawDef, P, Q, case, lhs, rhs) -> Witness:
     return Witness(law.vars, case, lhs, rhs, labels, Q.labels)
 
 
+def _law(law_id: str) -> _LawDef:
+    try:
+        return LAW_TABLE[law_id]
+    except KeyError:
+        raise UnknownLaw(f"unknown law {law_id!r}") from None
+
+
 def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     """Evaluate one law on an adjoint connection over every assignment.
 
     Missing adjoints or missing structural hypotheses produce a skipped
     report; they never abort a batch.
     """
-    try:
-        law = LAW_TABLE[law_id]
-    except KeyError:
-        raise UnknownLaw(f"unknown law {law_id!r}") from None
+    law = _law(law_id)
     reason = _missing_structure(ac, law.requires)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
@@ -491,7 +496,7 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
 
 def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
     """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
-    law = LAW_TABLE[law_id]
+    law = _law(law_id)
     case = witness.indices[::-1] if law.reverse else witness.indices
     ok, lhs, rhs = law.check(*_operands(law, ac), case)
     return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
@@ -818,15 +823,15 @@ def search_counterexample(
     a fixed order; returns the first satisfying case or the number of cases
     examined.  A case where some referenced law is skipped is not counted.
     """
-    if not 1 <= max_size <= 8:
-        raise SizeBoundExceeded("search is bounded to lattices of size 1 to 8")
+    limit = posetgen.MAX_GENERATED_SIZE if include_generated else 8
+    if not 1 <= max_size <= limit:
+        lattices = "generated lattices" if include_generated else "lattices"
+        raise SizeBoundExceeded(f"search is bounded to {lattices} of size 1 to {limit}")
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
     corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= max_size]
     if include_generated:
-        from .posetgen import generated_lattices
-
-        corpus.extend(generated_lattices(max_size))
+        corpus.extend(posetgen.generated_lattices(max_size))
     if modular_only:
         corpus = [L for L in corpus if L.is_modular]
     cases = 0

@@ -1,12 +1,16 @@
-"""Exhaustive generation of small posets and bounded lattices up to isomorphism.
+"""Exhaustive generation of small bounded lattices up to isomorphism.
 
 Posets are grown one maximal element at a time: each new element picks an
 order ideal of the already-built poset as its strict down-set, which
 enumerates exactly the posets whose identity labelling is a linear
-extension, once each.  Survivors are filtered to bounded lattices and
+extension, once each.  Every prefix of a linear extension of a lattice is a
+down-set of it, and a down-set of a lattice is closed under meets; so the
+walk drops a new element whose down-set meets some existing element's
+down-set in a non-principal set.  Every poset it keeps is then a
+meet-semilattice, and one with a top is a bounded lattice.  Those are
 deduplicated by a canonical form (minimum order table over all
-relabellings).  Sizes are capped at 6; beyond that the poset count makes
-exhaustive search pointless at desk scale.
+relabellings).  Sizes are capped at 6; beyond that the canonical form's
+relabellings make exhaustive search pointless at desk scale.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import SizeBoundExceeded
-from .lattice import FiniteLattice, _bounds, from_leq
+from .lattice import FiniteLattice, from_leq
 
 MAX_GENERATED_SIZE = 6
 
@@ -35,15 +39,6 @@ def _ideals(downs: list[int], k: int) -> list[int]:
         if ok:
             out.append(s)
     return out
-
-
-def _is_bounded_lattice(downs: list[int]) -> bool:
-    k = len(downs)
-    if (1 << k) - 1 not in downs:
-        return False  # no top: most grown posets stop here, before any table
-    ups = [sum(1 << j for j in range(k) if downs[j] >> i & 1) for i in range(k)]
-    bottom, _, meet, join = _bounds(downs, ups)
-    return bottom is not None and all(None not in row for row in meet + join)
 
 
 def _canonical_code(downs: list[int]) -> int:
@@ -73,17 +68,18 @@ def generated_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
         raise SizeBoundExceeded(
             f"exhaustive generation is bounded to size 0 to {MAX_GENERATED_SIZE}"
         )
-    found: dict[int, dict[int, list[int]]] = {k: {} for k in range(1, max_size + 1)}
+    found: dict[int, set[int]] = {k: set() for k in range(1, max_size + 1)}
 
     def walk(downs: list[int]):
         k = len(downs)
-        if k >= 1 and _is_bounded_lattice(downs):
-            code = _canonical_code(downs)
-            found[k].setdefault(code, list(downs))
+        if k >= 1 and (1 << k) - 1 in downs:  # a meet-semilattice with a top
+            found[k].add(_canonical_code(downs))
         if k == max_size:
             return
+        principal = set(downs)
         for ideal in _ideals(downs, k):
-            walk(downs + [ideal | (1 << k)])
+            if all(ideal & d in principal for d in downs):
+                walk(downs + [ideal | (1 << k)])
 
     walk([])
     out = []

@@ -199,6 +199,19 @@ def test_search_rejects_max_size_below_one(capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_search_size_bound_with_generated_lattices(capsys):
+    for size in ("7", "8"):
+        code, out, err = invoke(
+            capsys, "search", "--predicate", "LM0", "--max-size", size, "--all-lattices"
+        )
+        assert (code, out, err) == (
+            2, "", "error: search is bounded to generated lattices of size 1 to 6\n"
+        )
+    code, out, err = invoke(capsys, "search", "--predicate", "LM0 & !LM0", "--max-size", "8")
+    assert (code, err) == (0, "")
+    assert out.startswith("not found (")
+
+
 def test_search_bad_predicate(capsys):
     code, _, err = invoke(capsys, "search", "--predicate", "LM0 &", "--max-size", "4")
     assert code == 2

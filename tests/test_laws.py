@@ -412,6 +412,7 @@ def test_law_errors_are_typed(n5):
     ac = identity_adjoint(n5)
     cases = [
         (UnknownLaw, "unknown law 'ZZ1'", lambda: eval_law("ZZ1", ac)),
+        (UnknownLaw, "unknown law 'ZZ1'", lambda: recheck_witness("ZZ1", ac, None)),
         (UnknownLaw, "unknown law 'NOPE' in predicate", lambda: parse_predicate("NOPE")),
         (PredicateSyntaxError, "bad character '$'", lambda: parse_predicate("LM0 $")),
         (PredicateSyntaxError, "unexpected end", lambda: parse_predicate("LM0 &")),
