@@ -12,8 +12,8 @@ from .errors import (
     DuplicateLabel,
     IndexOutOfRange,
     InvalidModulus,
-    MissingBlock,
     MissingAdjoint,
+    MissingBlock,
     NotAdjoint,
     NotAnOrder,
     NotAssociative,

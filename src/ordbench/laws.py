@@ -822,6 +822,8 @@ def search_counterexample(
     to that size) and every adjoint connection between each ordered pair, in
     a fixed order; returns the first satisfying case or the number of cases
     examined.  A case where some referenced law is skipped is not counted.
+    A max_size outside 1 to 8, or 1 to MAX_GENERATED_SIZE with generated
+    lattices, raises SizeBoundExceeded before any work.
     """
     limit = posetgen.MAX_GENERATED_SIZE if include_generated else 8
     if not 1 <= max_size <= limit:

@@ -1,16 +1,15 @@
 """Exhaustive generation of small bounded lattices up to isomorphism.
 
-Posets are grown one maximal element at a time: each new element picks an
-order ideal of the already-built poset as its strict down-set, which
-enumerates exactly the posets whose identity labelling is a linear
-extension, once each.  Every prefix of a linear extension of a lattice is a
-down-set of it, and a down-set of a lattice is closed under meets; so the
-walk drops a new element whose down-set meets some existing element's
-down-set in a non-principal set.  Every poset it keeps is then a
-meet-semilattice, and one with a top is a bounded lattice.  Those are
-deduplicated by a canonical form (minimum order table over all
-relabellings).  Sizes are capped at 6; beyond that the canonical form's
-relabellings make exhaustive search pointless at desk scale.
+Posets are grown one maximal element at a time, each new element taking a
+set of existing ones as its strict down-set, so the identity labelling is
+a linear extension of every poset grown.  Every prefix of a linear
+extension of a lattice is a down-set of it, and a down-set of a lattice is
+closed under meets; so the new down-set must meet each existing element's
+down-set in a principal one.  That also makes it a down-set, and makes
+every poset grown a meet-semilattice, each once; one with a top is a
+bounded lattice.  Those are deduplicated by a canonical form (minimum order
+table over all relabellings).  Sizes are capped at 6, because the canonical
+form tries all k! relabellings of each lattice the walk finds.
 """
 
 from __future__ import annotations
@@ -22,23 +21,6 @@ from .errors import SizeBoundExceeded
 from .lattice import FiniteLattice, from_leq
 
 MAX_GENERATED_SIZE = 6
-
-
-def _ideals(downs: list[int], k: int) -> list[int]:
-    # downs[i] is the bitmask of {j | j <= i}, bit i included
-    out = []
-    for s in range(1 << k):
-        rest = s
-        ok = True
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            if downs[j] & ~s:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            out.append(s)
-    return out
 
 
 def _canonical_code(downs: list[int]) -> int:
@@ -76,8 +58,8 @@ def generated_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
             found[k].add(_canonical_code(downs))
         if k == max_size:
             return
-        principal = set(downs)
-        for ideal in _ideals(downs, k):
+        principal = set(downs)  # downs[i] is the bitmask of {j | j <= i}
+        for ideal in range(1 << k):
             if all(ideal & d in principal for d in downs):
                 walk(downs + [ideal | (1 << k)])
 

@@ -5,12 +5,10 @@ parsing is case-sensitive.  A file may declare any number of posets, maps,
 connections and quantales; later blocks may reference earlier posets by
 name.  Connections are validated against the weakening law at parse time.
 
-A header (``poset``, ``map``, ``conn``, ``quantale``) closes the open
-block and opens one; a line (``elem``, ``le``, ``send``, ``rel``, ``mul``) adds
-to the open block of the kind that owns it.  Each directive's shape is its
-usage text: ``<...>`` is one token, whose name says what it must name, other
-words are literal, and a trailing ``...`` takes any number of tokens.  A
-block is built, and its errors reported at its header, when it is closed.
+A header directive closes the open block and opens one; a line directive
+adds to the open block of the kind that owns it.  A directive's shape is its
+usage text: ``<...>`` is one token, named for what it must name, other words
+are literal, and ``...`` takes any number of tokens.
 """
 
 from __future__ import annotations
@@ -49,10 +47,11 @@ _LINES = {
     "mul": ("quantale", "<labelA> <labelB> <labelC>"),
 }
 _POSET_TOKENS = {"<sourcePoset>", "<targetPoset>", "<posetName>"}
-# label placeholder -> (side of the block it names, 0 source or 1 target; error word)
+# label placeholder -> (which of the header's posets it names, error word);
+# in a poset block it names one of the block's own labels
 _LABEL_TOKENS = {
     "<labelA>": (0, "label"), "<labelB>": (0, "label"), "<labelC>": (0, "label"),
-    "<sourceLabel>": (0, "source label"), "<targetLabel>": (1, "target label"),
+    "<sourceLabel>": (0, "source label"), "<targetLabel>": (-1, "target label"),
 }
 
 
@@ -65,13 +64,6 @@ class _Block:
     labels: list[str] = field(default_factory=list)  # poset: its elements
     pairs: list[tuple[str, str]] = field(default_factory=list)  # poset: le; conn: rel
     values: dict = field(default_factory=dict)  # map: x -> f(x); quantale: (a, b) -> a*b
-
-    @property
-    def scopes(self):
-        """The labels a token may name on the source and on the target side."""
-        if self.kind == "poset":
-            return self.labels, self.labels
-        return self.posets[0].labels, self.posets[-1].labels
 
 
 class _Parser:
@@ -112,8 +104,8 @@ class _Parser:
         block = self.block
         for w, a in zip(words, args):
             if w in _LABEL_TOKENS:
-                side, word = _LABEL_TOKENS[w]
-                if a not in block.scopes[side]:
+                at, word = _LABEL_TOKENS[w]
+                if a not in (block.posets[at].labels if block.posets else block.labels):
                     self.fail(lineno, f"unknown {word} {a!r}")
         if head == "elem":
             for lab in args:
