@@ -59,9 +59,9 @@ def generated_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
         if k == max_size:
             return
         principal = set(downs)  # downs[i] is the bitmask of {j | j <= i}
-        for ideal in range(1 << k):
-            if all(ideal & d in principal for d in downs):
-                walk(downs + [ideal | (1 << k)])
+        for below in range(1 << k):
+            if all(below & d in principal for d in downs):
+                walk(downs + [below | (1 << k)])
 
     walk([])
     out = []
