@@ -181,3 +181,28 @@ def monotone_scan(source, target, values):
                     f"{source.labels[a]} <= {source.labels[b]} but "
                     f"{target.labels[values[a]]} !<= {target.labels[values[b]]}"
                 )
+
+
+def restrict_left_cells(ac, anchor):
+    """The restriction of ac to anchor-down in P and f(anchor)-down in Q, cell by cell.
+
+    Returns (rel, left, right): the restricted relation as a table, the left
+    map as positions in f(anchor)-down, and the right map as positions in
+    anchor-down, or None when some restricted column is no element's
+    down-set there.
+    """
+    P, Q, f = ac.source, ac.target, ac.left.values
+    dn_p = [a for a in range(P.size) if P.leq[a][anchor]]
+    dn_q = [b for b in range(Q.size) if Q.leq[b][f[anchor]]]
+    rel = tuple(tuple(ac.conn.rel[a][b] for b in dn_q) for a in dn_p)
+    left = tuple(dn_q.index(f[a]) for a in dn_p)
+    right = []
+    for j in range(len(dn_q)):
+        tops = [
+            i for i, x in enumerate(dn_p)
+            if all(rel[k][j] == P.leq[a][x] for k, a in enumerate(dn_p))
+        ]
+        if not tops:
+            return rel, left, None
+        right.append(tops[0])
+    return rel, left, tuple(right)

@@ -33,7 +33,7 @@ from ordbench import (
 from ordbench.connection import _join_preserving_maps
 from ordbench.posetgen import generated_lattices
 
-from oracles import enumerate_connections
+from oracles import enumerate_connections, restrict_left_cells
 
 
 def naive_is_connection(P, Q, rel):
@@ -247,6 +247,71 @@ def test_restrict_c3_example(c2, c3):
     assert restricted.conn.source.size == 2  # {0, m}
     assert restricted.conn.target.size == 1  # {0}
     assert restricted.left.values == (0, 0)
+
+
+def small_lattices():
+    return [L for L in catalog() if L.size <= 4]
+
+
+def test_compose_adjoint_matches_relational_compose(bare_posets):
+    """compose_adjoint gives compose's relation and the composed maps, on every composable pair."""
+
+    def composable(posets):
+        for P in posets:
+            for Q in posets:
+                for S in posets:
+                    for r in enumerate_adjoint_connections(P, Q):
+                        for s in enumerate_adjoint_connections(Q, S):
+                            yield r, s
+
+    suite_pairs = 0
+    for posets in (small_lattices(), bare_posets):
+        for r, s in composable(posets):
+            suite_pairs += posets is not bare_posets
+            got = compose_adjoint(r, s)
+            assert got.conn == compose(r.conn, s.conn)
+            assert got.left.values == tuple(s.left.values[v] for v in r.left.values)
+            assert got.right.values == tuple(r.right.values[v] for v in s.right.values)
+    assert suite_pairs == 11365  # the composition suite's pairs
+
+
+def test_compose_adjoint_mismatch(c2, c3):
+    r = make_adjoint(identity_connection(c2))
+    with pytest.raises(SourceTargetMismatch):
+        compose_adjoint(r, make_adjoint(identity_connection(c3)))
+
+
+def test_restrict_left_matches_cell_by_cell_oracle(bare_posets):
+    """Every adjoint connection among small lattices, and every left connection
+    among the bare posets, where a restriction may lack its right adjoint."""
+    lattices, posets = small_lattices(), bare_posets
+    connections = [
+        ac for P in lattices for Q in lattices for ac in enumerate_adjoint_connections(P, Q)
+    ] + [left_adjoint_connection(f) for P in posets for Q in posets for f in monotone_maps(P, Q)]
+    rights = []
+    for ac in connections:
+        for anchor in range(ac.source.size):
+            got = restrict_left(ac, anchor)
+            rel, left, right = restrict_left_cells(ac, anchor)
+            assert got.source == down_set(ac.source, anchor).view
+            assert got.target == down_set(ac.target, ac.left.values[anchor]).view
+            assert got.conn.rel == rel
+            assert got.left.values == left
+            assert values_or_none(got.right) == right
+            rights.append(right is not None)
+    assert (len(rights), rights.count(False)) == (807 + 1221, 475)
+
+
+def test_connection_of_monotone_right_reads_the_order_table(bare_posets):
+    posets = list(bare_posets) + small_lattices()
+    for P in posets:
+        for Q in posets:
+            for g in monotone_maps(Q, P):
+                conn = connection_of_monotone_right(g)
+                assert (conn.source, conn.target) == (P, Q)
+                assert conn.rel == tuple(
+                    tuple(P.leq[x][g.values[y]] for y in range(Q.size)) for x in range(P.size)
+                )
 
 
 def test_enumerate_adjoint_connections_counts(c2):

@@ -103,6 +103,31 @@ def test_cycle_detected():
         build_poset("bad", ["0", "1"], [("0", "1"), ("1", "0")])
 
 
+BUILD_POSET_ERRORS = [
+    # several cycles: the pair named is the first by label index, not by pair order
+    ("abcd", [("c", "d"), ("d", "c"), ("a", "b"), ("b", "a")], CycleDetected,
+     "elements 'a' and 'b' lie on a cycle"),
+    # a cycle through a chain of pairs
+    ("abcd", [("d", "c"), ("c", "b"), ("b", "d")], CycleDetected,
+     "elements 'b' and 'c' lie on a cycle"),
+    # precedence: duplicate label, then unknown label, then cycle
+    (("x", "y", "y", "x"), [("x", "z"), ("y", "x"), ("x", "y")], DuplicateLabel,
+     "duplicate label 'y'"),
+    (("x", "y"), [("x", "y"), ("y", "x"), ("x", "z")], UnknownLabel,
+     "unknown label 'z' in cover pair"),
+    (("x", "y"), [("y", "x"), ("x", "y"), ("y", "q"), ("q", "z")], UnknownLabel,
+     "unknown label 'q' in cover pair"),
+]
+
+
+@pytest.mark.parametrize("labels, pairs, cls, message", BUILD_POSET_ERRORS)
+def test_build_poset_errors_pin_type_and_message(labels, pairs, cls, message):
+    with pytest.raises(OrdbenchError) as info:
+        build_poset("bad", tuple(labels), pairs)
+    assert type(info.value) is cls
+    assert str(info.value) == f"bad: {message}"
+
+
 def test_from_leq_rejects_non_orders():
     with pytest.raises(NotAnOrder, match="not reflexive at 'b'"):
         from_leq("bad", ["a", "b"], [[True, False], [False, False]])
