@@ -89,7 +89,7 @@ def cmd_laws(args) -> int:
         left = find_left_adjoint(c)
         right = find_right_adjoint(c)
         if left is None and right is None:
-            for law_id in requested or LAW_IDS:
+            for law_id in requested:  # default output lists applicable laws only
                 print(f"{law_id} skipped reason: connection has no adjoint maps")
             continue
         ac = AdjointConnection(c, left, right)

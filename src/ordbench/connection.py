@@ -13,6 +13,10 @@ therefore exists exactly when every row of R is a row of Q's order table,
 and a right adjoint exactly when every column of R is a column of P's; each
 adjoint value is one lookup of a row (column), with nothing left to verify.
 
+Conversely, a connection built from a map (a composite or restriction too)
+is read off an order table; only the relational :func:`compose` of two
+arbitrary connections fills its table cell by cell.
+
 The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the
 monotone maps that do: the walk drops a partial value table as soon as one
@@ -93,7 +97,7 @@ class AdjointConnection:
         if self.right is not None:
             if self.right.source != Q or self.right.target != P:
                 raise SourceTargetMismatch("right map does not match the connection's posets")
-            cols = _columns(self.conn)
+            cols = _columns(rel, Q)
             if any(P.geq[gy] != col for gy, col in zip(self.right.values, cols)):
                 raise NotAdjoint("right map fails the adjunction biconditional")
 
@@ -146,14 +150,14 @@ def is_connection(source, target, rel) -> bool:
     return find_weakening_violation(source, target, rel) is None
 
 
-def _columns(c: Connection) -> tuple[tuple[bool, ...], ...]:
-    """The columns of c's relation table, also when it has no rows."""
-    return tuple(zip(*c.rel)) if c.rel else ((),) * c.target.size
+def _columns(rel, target: FiniteLattice) -> tuple[tuple[bool, ...], ...]:
+    """The columns of a relation table into ``target``, also when it has no rows."""
+    return tuple(zip(*rel)) if rel else ((),) * target.size
 
 
 def opposite(c: Connection) -> Connection:
     """The transposed relation, as a connection between the cached dual posets."""
-    return Connection(c.target.op, c.source.op, _columns(c))
+    return Connection(c.target.op, c.source.op, _columns(c.rel, c.target))
 
 
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:
@@ -175,7 +179,7 @@ def find_right_adjoint(c: Connection) -> Optional[MonotoneMap]:
     Column y of R must be the down-set of g(y): a lookup among P's columns.
     """
     by_col = {col: x for x, col in enumerate(c.source.geq)}
-    values = tuple(by_col.get(col) for col in _columns(c))
+    values = tuple(by_col.get(col) for col in _columns(c.rel, c.target))
     if None in values:
         return None
     return MonotoneMap(c.target, c.source, values)
@@ -187,8 +191,9 @@ def connection_of_monotone_left(f: MonotoneMap) -> Connection:
 
 
 def connection_of_monotone_right(g: MonotoneMap) -> Connection:
-    """The connection x R y iff x <= g(y); find_right_adjoint recovers g."""
-    return Connection(g.target, g.source, tuple(tuple(row[v] for v in g.values) for row in g.target.leq))
+    """The connection x R y iff x <= g(y): P's order columns at g(y), transposed."""
+    P = g.target
+    return Connection(P, g.source, _columns([P.geq[v] for v in g.values], P))
 
 
 def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
@@ -229,11 +234,11 @@ def compose(r: Connection, s: Connection) -> Connection:
 
 
 def compose_adjoint(r: AdjointConnection, s: AdjointConnection) -> AdjointConnection:
-    """Composite of two adjoint connections; adjoints compose map-wise."""
+    """Composite of two adjoint connections, read off the composed left map."""
     if not (r.is_adjoint and s.is_adjoint):
         raise MissingAdjoint("compose_adjoint needs fully adjoint connections")
-    conn = compose(r.conn, s.conn)
-    return AdjointConnection(conn, compose_maps(r.left, s.left), compose_maps(s.right, r.right))
+    left = compose_maps(r.left, s.left)
+    return AdjointConnection(connection_of_monotone_left(left), left, compose_maps(s.right, r.right))
 
 
 def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
@@ -244,15 +249,13 @@ def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
     """
     if ac.left is None:
         raise MissingAdjoint("restrict_left needs a left adjoint")
-    P, Q = ac.source, ac.target
-    P.check_element(anchor)
-    dn_p = down_set(P, anchor)
-    dn_q = down_set(Q, ac.left.values[anchor])
+    f = ac.left.values
+    dn_p = down_set(ac.source, anchor)
+    dn_q = down_set(ac.target, f[anchor])
     pos_q = {e: i for i, e in enumerate(dn_q.members)}
-    rel = tuple(tuple(ac.conn.rel[a][b] for b in dn_q.members) for a in dn_p.members)
-    conn = Connection(dn_p.view, dn_q.view, rel)
-    left = MonotoneMap(dn_p.view, dn_q.view, tuple(pos_q[ac.left.values[a]] for a in dn_p.members))
-    return AdjointConnection(conn, left, find_right_adjoint(conn))
+    return left_adjoint_connection(
+        MonotoneMap(dn_p.view, dn_q.view, tuple(pos_q[f[a]] for a in dn_p.members))
+    )
 
 
 def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[MonotoneMap]:

@@ -11,6 +11,9 @@ of a meet a ∧ b is the intersection of the down-sets of a and b.  So the
 tables are filled by lookup, not by search: with each down-set held as an
 int mask, meet[a][b] is the element whose mask is ``down[a] & down[b]``, or
 None if no element has that mask; joins, top and bottom likewise.
+
+Every poset read from a table or from pairs is checked by :func:`from_leq`;
+one derived from a checked poset (a dual, a down-set or up-set view) is not.
 """
 
 from __future__ import annotations
@@ -251,8 +254,9 @@ def _finalize(name, labels, leq) -> FiniteLattice:
 def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Build a poset from labels and covering (or any generating) pairs.
 
-    ``leq`` is the reflexive-transitive closure of the pairs; a cycle raises
-    :class:`CycleDetected` instead of returning a value.
+    ``leq`` is the reflexive-transitive closure of the pairs, checked by
+    :func:`from_leq`; a cycle raises :class:`CycleDetected` instead of
+    returning a value.
     """
     labels = tuple(labels)
     pos: dict[str, int] = {}
@@ -275,13 +279,7 @@ def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, st
                 for j in range(n):
                     if row_k[j]:
                         row_i[j] = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            if leq[a][b] and leq[b][a]:
-                raise CycleDetected(
-                    f"{name}: elements {labels[a]!r} and {labels[b]!r} lie on a cycle"
-                )
-    return _finalize(name, labels, tuple(tuple(row) for row in leq))
+    return from_leq(name, labels, leq)
 
 
 def dual(L: FiniteLattice) -> FiniteLattice:
@@ -407,9 +405,6 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins) -> 
     values at a and b equal to the value at k.
     """
     n = source.size
-    if n == 0:
-        yield MonotoneMap(source, target, ())
-        return
     leq_s, leq_t, join_t = source.leq, target.leq, target.join
     below = [[j for j in range(i) if leq_s[j][i]] for i in range(n)]
     above = [[j for j in range(i) if leq_s[i][j]] for i in range(n)]

@@ -27,7 +27,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .lattice import FiniteLattice, MonotoneMap, _divisor_order, _divisors
-from .connection import AdjointConnection, Connection
+from .connection import AdjointConnection, connection_of_monotone_left
 from .laws import LawReport, Witness, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
@@ -159,11 +159,9 @@ def element_connection(q: Quantale, e: int) -> AdjointConnection:
     """
     L = q.lattice
     L.check_element(e)
-    n = L.size
-    left_vals = tuple(q.mult[b][e] for b in range(n))
-    right_vals = tuple(residual(q, a, e) for a in range(n))
-    conn = Connection(L, L, tuple(L.leq[v] for v in left_vals))
-    return AdjointConnection(conn, MonotoneMap(L, L, left_vals), MonotoneMap(L, L, right_vals))
+    f = MonotoneMap(L, L, tuple(q.mult[b][e] for b in range(L.size)))
+    g = MonotoneMap(L, L, tuple(residual(q, a, e) for a in range(L.size)))
+    return AdjointConnection(connection_of_monotone_left(f), f, g)
 
 
 def _principal_law_report(law_id, labels, vars_, failure):

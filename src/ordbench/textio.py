@@ -138,6 +138,8 @@ class _Parser:
             return
         name, lineno = block.name, block.line
         if block.kind == "poset":
+            if not block.labels:
+                self.fail(lineno, f"poset {name!r} has no elements")
             try:
                 built = build_poset(name, block.labels, block.pairs)
             except OrdbenchError as exc:

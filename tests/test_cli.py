@@ -112,6 +112,27 @@ def test_laws_default_all_applicable(capsys):
     assert all(line.endswith("holds") for line in lines[1:])
 
 
+def test_empty_poset_block_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "empty.conn"
+    path.write_text("poset E\nconn c E E\n")
+    for verb in ("check", "adjoints", "laws"):
+        code, out, err = invoke(capsys, verb, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}:1: poset 'E' has no elements\n")
+
+
+def test_laws_without_adjoints_lists_requested_laws_only(capsys, tmp_path):
+    # rel 0 1 alone on C2: row 1 is empty and column 0 is empty, so neither adjoint exists
+    path = tmp_path / "noadj.conn"
+    path.write_text("poset C2\nelem 0 1\nle 0 1\nconn c C2 C2\nrel 0 1\n")
+    assert invoke(capsys, "laws", str(path)) == (0, "conn c: C2 -> C2\n", "")
+    code, out, err = invoke(capsys, "laws", str(path), "--law", "LF1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "conn c: C2 -> C2",
+        "LF1 skipped reason: connection has no adjoint maps",
+    ]
+
+
 def test_laws_failing_connection_exits_1(capsys):
     code, out, _ = invoke(capsys, "laws", str(DATA / "mulm.conn"))
     assert code == 1

@@ -228,6 +228,8 @@ PARSE_ERRORS = [
     (P_AB + "quantale Q over P\nmul a b a\nmul b a b\n", 6, "conflicting product b*a: a vs b"),
     ("posett P\n", 1, "unknown directive 'posett'"),
     # building a block, reported at its header
+    ("poset E\n", 1, "poset 'E' has no elements"),
+    ("poset P\nelem a\nposet E\nelem\nconn c E E\n", 3, "poset 'E' has no elements"),
     ("poset P\nelem a b\nle a b\nle b a\n", 1, "P: elements 'a' and 'b' lie on a cycle"),
     (P_AB + "map f P P\nsend a a\n", 4, "map 'f' missing send for 'b'"),
     (

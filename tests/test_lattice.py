@@ -128,6 +128,11 @@ def test_build_poset_errors_pin_type_and_message(labels, pairs, cls, message):
     assert str(info.value) == f"bad: {message}"
 
 
+def test_library_accepts_the_empty_poset():
+    for E in (from_leq("E", (), ()), build_poset("E", (), [])):
+        assert (E.size, E.is_lattice, E.bottom, E.top) == (0, False, None, None)
+
+
 def test_from_leq_rejects_non_orders():
     with pytest.raises(NotAnOrder, match="not reflexive at 'b'"):
         from_leq("bad", ["a", "b"], [[True, False], [False, False]])
