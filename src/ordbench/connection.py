@@ -27,7 +27,6 @@ survivors are kept.  Between finite lattices every survivor is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import (
@@ -279,16 +278,6 @@ def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[Monoto
     return _backtrack(P, Q, choices, joins)
 
 
-@lru_cache(maxsize=None)
-def _adjoint_connections_cached(P: FiniteLattice, Q: FiniteLattice) -> tuple[AdjointConnection, ...]:
-    out = []
-    for f in _join_preserving_maps(P, Q):
-        ac = left_adjoint_connection(f)
-        if ac.right is not None:
-            out.append(ac)
-    return tuple(out)
-
-
 def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[AdjointConnection]:
     """All adjoint connections P -> Q, ordered lexicographically by left map table.
 
@@ -300,6 +289,12 @@ def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[Ad
     partial table as soon as a join check fails, and loses no adjoint
     connection on any finite poset.  The row lookup of
     :func:`find_right_adjoint` still decides which candidates are kept;
-    between finite lattices it accepts every one.
+    between finite lattices it accepts every one.  Nothing is cached: each
+    call walks afresh and returns a new list.
     """
-    return list(_adjoint_connections_cached(P, Q))
+    out = []
+    for f in _join_preserving_maps(P, Q):
+        ac = left_adjoint_connection(f)
+        if ac.right is not None:
+            out.append(ac)
+    return out

@@ -44,7 +44,7 @@ swaps the two sides of an inequality, which reverses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress, product, repeat
 from operator import or_
 from typing import Callable, Optional, Sequence
@@ -539,9 +539,11 @@ class ImplicationCheck:
 # The connections a suite visits for each ordered pair (P, Q).  These, the
 # suites' units and their failure functions name what they call at call
 # time, so a module attribute rebound after import (as the benchmark's
-# tracer does) is honoured.
+# tracer does) is honoured.  The suites re-read pairs, so the walk runs
+# once per pair behind this cache; search reads each pair once, uncached.
+@lru_cache(maxsize=None)
 def _adjoint_connections(P, Q):
-    return enumerate_adjoint_connections(P, Q)
+    return tuple(enumerate_adjoint_connections(P, Q))
 
 
 def _left_connections(P, Q):
@@ -820,10 +822,11 @@ def search_counterexample(
     Enumerates the bounded catalog lattices of size <= max_size (and, when
     asked, every bounded lattice up to isomorphism generated exhaustively up
     to that size) and every adjoint connection between each ordered pair, in
-    a fixed order; returns the first satisfying case or the number of cases
-    examined.  A case where some referenced law is skipped is not counted.
-    A max_size outside 1 to 8, or 1 to MAX_GENERATED_SIZE with generated
-    lattices, raises SizeBoundExceeded before any work.
+    a fixed order, one pair at a time and uncached; returns the first
+    satisfying case or the number of cases examined.  A case where some
+    referenced law is skipped is not counted.  A max_size outside 1 to 8,
+    or 1 to MAX_GENERATED_SIZE with generated lattices, raises
+    SizeBoundExceeded before any work.
     """
     limit = posetgen.MAX_GENERATED_SIZE if include_generated else 8
     if not 1 <= max_size <= limit:
@@ -837,7 +840,7 @@ def search_counterexample(
     if modular_only:
         corpus = [L for L in corpus if L.is_modular]
     cases = 0
-    for connections in _pairs(_adjoint_connections, corpus):
+    for connections in _pairs(enumerate_adjoint_connections, corpus):
         for ac in connections:
             values = {}
             for law_id in predicate.laws:
@@ -905,11 +908,11 @@ def _composable(lattices):
     """Per triple P -> Q -> S with adjoint connections on both legs, its cases (r, s, law)."""
     for P in lattices:
         for Q in lattices:
-            first = enumerate_adjoint_connections(P, Q)
+            first = _adjoint_connections(P, Q)
             if not first:
                 continue
             for S in lattices:
-                second = enumerate_adjoint_connections(Q, S)
+                second = _adjoint_connections(Q, S)
                 if second:
                     yield product(first, second, ("LF0", "RF0"))
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from ordbench import (
     verify_theorem,
     zn_ideal_quantale,
 )
+from ordbench import laws
 from ordbench.posetgen import generated_lattices
 
 from oracles import case_scan
@@ -476,6 +478,26 @@ def test_search_size_bound():
 def test_search_modular_only_not_found():
     result = search_counterexample("LM0 & RM0 & !(LF0 & RF0)", 6, modular_only=True)
     assert result.found is None
+
+
+def _live_adjoint_connections():
+    gc.collect()
+    return sum(isinstance(o, AdjointConnection) for o in gc.get_objects())
+
+
+def test_search_streams_its_pairs():
+    """search holds one pair's connections at a time and fills no cache."""
+    before, cached = _live_adjoint_connections(), laws._adjoint_connections.cache_info().currsize
+    result = search_counterexample("LM0 & RM0 & !(LF0 & RF0)", 5, modular_only=True, include_generated=True)
+    assert result.render() == "not found (3524 cases)"
+    assert _live_adjoint_connections() == before
+    assert laws._adjoint_connections.cache_info().currsize == cached
+
+
+def test_enumeration_returns_fresh_lists_and_suites_repeat(b2, m3):
+    first, second = enumerate_adjoint_connections(b2, m3), enumerate_adjoint_connections(b2, m3)
+    assert first == second and first is not second
+    assert run_suite("lm", catalog()) == run_suite("lm", catalog())
 
 
 def test_search_finds_recorded_witness_with_pentagon():
