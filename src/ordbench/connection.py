@@ -19,9 +19,11 @@ arbitrary connections fills its table cell by cell.
 
 The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the
-monotone maps that do: the walk drops a partial value table as soon as one
-of its joins fails, and the lookup of the right adjoint still decides which
-survivors are kept.  Between finite lattices every survivor is kept.
+monotone maps that do: the walk gives an element that is the join of two
+earlier ones the join of their values, drops a partial value table as soon
+as one of its joins fails, and the lookup of the right adjoint still
+decides which survivors are kept.  Between finite lattices every survivor
+is kept.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ class Connection:
 
     def __post_init__(self):
         rel = tuple(map(tuple, self.rel))
-        if len(rel) != self.source.size or any(len(row) != self.target.size for row in rel):
-            raise DimensionMismatch(
-                f"relation table must be {self.source.size}x{self.target.size}"
-            )
+        n, m = self.source.size, self.target.size
+        if len(rel) != n or any(len(row) != m for row in rel):
+            raise DimensionMismatch(f"relation table must be {n}x{m}")
         object.__setattr__(self, "rel", rel)
 
     def __repr__(self) -> str:
@@ -263,19 +264,27 @@ def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[Monoto
     The left map of every adjoint connection P -> Q is one of them; they come
     in lexicographic order of value tables.
     A pair whose join is one of its members needs no check: monotonicity
-    already preserves that join.
+    already preserves that join.  An index k that is the join of two earlier
+    indices a and b has one value to try, the join in Q of the values at a
+    and b, and none when that join does not exist; every other pair's join
+    is checked once both it and its members have values.
     """
     n = P.size
     choices = [range(Q.size)] * n
     if P.bottom is not None:
         choices[P.bottom] = () if Q.bottom is None else (Q.bottom,)
+    forced = [None] * n
     joins = [[] for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             k = P.join[a][b]
-            if k is not None and k != a and k != b:
+            if k is None or k == a or k == b:
+                continue
+            if b < k and forced[k] is None:
+                forced[k] = (a, b)
+            else:
                 joins[max(b, k)].append((a, b, k))
-    return _backtrack(P, Q, choices, joins)
+    return _backtrack(P, Q, choices, joins, forced)
 
 
 def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[AdjointConnection]:
@@ -285,7 +294,8 @@ def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[Ad
     that exists in P: f(a v b) <= y iff a v b <= g(y) iff a <= g(y) and
     b <= g(y) iff f(a) <= y and f(b) <= y, so f(a v b) is the join of f(a)
     and f(b) in Q; likewise f(bottom) <= y for every y.  The enumeration
-    therefore walks only the monotone maps that preserve them, dropping a
+    therefore walks only the monotone maps that preserve them: it tries only
+    that join at an element that is the join of two earlier ones, drops a
     partial table as soon as a join check fails, and loses no adjoint
     connection on any finite poset.  The row lookup of
     :func:`find_right_adjoint` still decides which candidates are kept;

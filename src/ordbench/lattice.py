@@ -153,18 +153,19 @@ class MonotoneMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.source.size:
+        n, m = self.source.size, self.target.size
+        if len(self.values) != n:
             raise DimensionMismatch(
-                f"map table has {len(self.values)} entries for source of size {self.source.size}"
+                f"map table has {len(self.values)} entries for source of size {n}"
             )
         for v in self.values:
-            if not 0 <= v < self.target.size:
-                raise IndexOutOfRange(f"map value {v} outside target of size {self.target.size}")
+            if not 0 <= v < m:
+                raise IndexOutOfRange(f"map value {v} outside target of size {m}")
         leq_s, leq_t, values = self.source.leq, self.target.leq, self.values
         if all(leq_t[values[a]][values[b]] for a, b in self.source.covers):
             return
-        for a in range(self.source.size):
-            for b in range(self.source.size):
+        for a in range(n):
+            for b in range(n):
                 if leq_s[a][b] and not leq_t[values[a]][values[b]]:
                     raise NotMonotone(
                         f"{self.source.labels[a]} <= {self.source.labels[b]} but "
@@ -396,16 +397,23 @@ def catalog_named(name: str) -> FiniteLattice:
     raise UnknownLabel(f"no catalog lattice named {name!r}")
 
 
-def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins) -> Iterator[MonotoneMap]:
+def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, forced) -> Iterator[MonotoneMap]:
     """Monotone maps source -> target, in lexicographic order of value tables, pruned.
 
     Values are assigned in index order.  Index i tries only the values in
-    ``choices[i]``, and once it is assigned, every ``(a, b, k)`` in
-    ``joins[i]`` (indices at most i) must have the target's join of the
-    values at a and b equal to the value at k.
+    ``choices[i]``, or, when ``forced[i]`` is a pair (a, b) of earlier
+    indices, only the target's join of the values at a and b, and nothing
+    when that join does not exist.  Each value tried must keep the map
+    monotone on the indices before i: it must lie in the target's up-set of
+    every value below i and in the down-set of every value above i, an
+    intersection of int masks taken once per partial table.  Once it is
+    assigned, every ``(a, b, k)`` in ``joins[i]`` (indices at most i) must
+    have the target's join of the values at a and b equal to the value at k.
     """
     n = source.size
-    leq_s, leq_t, join_t = source.leq, target.leq, target.join
+    leq_s, join_t = source.leq, target.join
+    up_t, down_t = tuple(map(_mask, target.leq)), target.down_masks
+    every = (1 << target.size) - 1
     below = [[j for j in range(i) if leq_s[j][i]] for i in range(n)]
     above = [[j for j in range(i) if leq_s[i][j]] for i in range(n)]
     values = [0] * n
@@ -414,10 +422,19 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins) -> 
         if i == n:
             yield MonotoneMap(source, target, tuple(values))
             return
-        for y in choices[i]:
-            if all(leq_t[values[j]][y] for j in below[i]) and all(
-                leq_t[y][values[j]] for j in above[i]
-            ):
+        if forced[i] is None:
+            ys = choices[i]
+        else:
+            a, b = forced[i]
+            y = join_t[values[a]][values[b]]
+            ys = () if y is None else (y,)
+        between = every
+        for j in below[i]:
+            between &= up_t[values[j]]
+        for j in above[i]:
+            between &= down_t[values[j]]
+        for y in ys:
+            if between >> y & 1:
                 values[i] = y
                 if all(join_t[values[a]][values[b]] == values[k] for a, b, k in joins[i]):
                     yield from rec(i + 1)
@@ -428,7 +445,7 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins) -> 
 def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator[MonotoneMap]:
     """All monotone maps source -> target, in lexicographic order of value tables."""
     n = source.size
-    yield from _backtrack(source, target, [range(target.size)] * n, [()] * n)
+    yield from _backtrack(source, target, [range(target.size)] * n, [()] * n, [None] * n)
 
 
 @lru_cache(maxsize=None)

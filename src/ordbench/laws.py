@@ -810,6 +810,24 @@ class SearchResult:
         return self.found.render()
 
 
+class _Verdicts(dict):
+    """Law id -> whether it holds on one connection, decided on first read.
+
+    A missing key is decided by :func:`eval_law` and kept, so the
+    predicate's short-circuit ``&``/``|`` decides only the laws it reads.
+    The caller has checked that none of them is skipped on the connection.
+    """
+
+    __slots__ = ("ac",)
+
+    def __init__(self, ac: AdjointConnection):
+        self.ac = ac
+
+    def __missing__(self, law_id: str) -> bool:
+        holds = self[law_id] = eval_law(law_id, self.ac).holds
+        return holds
+
+
 def search_counterexample(
     predicate,
     max_size: int,
@@ -823,9 +841,12 @@ def search_counterexample(
     asked, every bounded lattice up to isomorphism generated exhaustively up
     to that size) and every adjoint connection between each ordered pair, in
     a fixed order, one pair at a time and uncached; returns the first
-    satisfying case or the number of cases examined.  A case where some
-    referenced law is skipped is not counted.  A max_size outside 1 to 8,
-    or 1 to MAX_GENERATED_SIZE with generated lattices, raises
+    satisfying case or the number of cases examined.  A case counts only
+    when the hypotheses of every law the predicate names hold, so no law is
+    skipped on it.  The predicate then decides only the laws its
+    short-circuit ``&``/``|`` reads; a found case lists every law it names,
+    in order, deciding the unread ones for that line.  A max_size outside 1
+    to 8, or 1 to MAX_GENERATED_SIZE with generated lattices, raises
     SizeBoundExceeded before any work.
     """
     limit = posetgen.MAX_GENERATED_SIZE if include_generated else 8
@@ -834,6 +855,9 @@ def search_counterexample(
         raise SizeBoundExceeded(f"search is bounded to {lattices} of size 1 to {limit}")
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
+    requires = tuple(
+        dict.fromkeys(req for law_id in predicate.laws for req in _law(law_id).requires)
+    )
     corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= max_size]
     if include_generated:
         corpus.extend(posetgen.generated_lattices(max_size))
@@ -842,23 +866,19 @@ def search_counterexample(
     cases = 0
     for connections in _pairs(enumerate_adjoint_connections, corpus):
         for ac in connections:
-            values = {}
-            for law_id in predicate.laws:
-                report = eval_law(law_id, ac)
-                if report.skipped is not None:
-                    break
-                values[law_id] = report.holds
-            else:
-                cases += 1
-                if predicate.evaluate(values):
-                    found = FoundCase(
-                        ac.source.name,
-                        ac.target.name,
-                        ac.left.values,
-                        ac.right.values,
-                        tuple(values.items()),
-                    )
-                    return SearchResult(found, cases)
+            if _missing_structure(ac, requires) is not None:
+                continue
+            cases += 1
+            values = _Verdicts(ac)
+            if predicate.evaluate(values):
+                found = FoundCase(
+                    ac.source.name,
+                    ac.target.name,
+                    ac.left.values,
+                    ac.right.values,
+                    tuple((law_id, values[law_id]) for law_id in predicate.laws),
+                )
+                return SearchResult(found, cases)
     return SearchResult(None, cases)
 
 

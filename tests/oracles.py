@@ -2,8 +2,16 @@
 
 from types import SimpleNamespace
 
-from ordbench import Connection, NotMonotone, SizeBoundExceeded
-from ordbench.laws import LAW_TABLE, _operands
+from ordbench import (
+    Connection,
+    NotMonotone,
+    SizeBoundExceeded,
+    catalog,
+    enumerate_adjoint_connections,
+    parse_predicate,
+)
+from ordbench import laws, posetgen
+from ordbench.laws import LAW_TABLE, FoundCase, SearchResult, _operands
 
 
 def enumerate_connections(P, Q):
@@ -206,3 +214,39 @@ def restrict_left_cells(ac, anchor):
             return rel, left, None
         right.append(tops[0])
     return rel, left, tuple(right)
+
+
+def eager_search(predicate, max_size, *, modular_only=False, include_generated=False):
+    """The counterexample search deciding every law the predicate names on every case.
+
+    Walks the corpus and the connections of each ordered pair in the order
+    :func:`ordbench.search_counterexample` does, evaluates each named law in
+    turn with ``eval_law`` and drops the case at the first skipped one; the
+    predicate reads the complete table of verdicts.  The caller keeps
+    ``max_size`` within the search's bound.
+    """
+    if isinstance(predicate, str):
+        predicate = parse_predicate(predicate)
+    corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= max_size]
+    if include_generated:
+        corpus.extend(posetgen.generated_lattices(max_size))
+    if modular_only:
+        corpus = [L for L in corpus if L.is_modular]
+    cases = 0
+    for P in corpus:
+        for Q in corpus:
+            for ac in enumerate_adjoint_connections(P, Q):
+                values = {}
+                for law_id in predicate.laws:
+                    report = laws.eval_law(law_id, ac)
+                    if report.skipped is not None:
+                        break
+                    values[law_id] = report.holds
+                else:
+                    cases += 1
+                    if predicate.evaluate(values):
+                        found = FoundCase(
+                            P.name, Q.name, ac.left.values, ac.right.values, tuple(values.items())
+                        )
+                        return SearchResult(found, cases)
+    return SearchResult(None, cases)

@@ -257,6 +257,14 @@ def test_search_modular_all_lattices_finds_no_counterexample(capsys):
     assert (code, out, err) == (0, "not found (24522 cases)\n", "")
 
 
+def test_search_found_line_lists_every_law(capsys):
+    # the short-circuit reads LM0 alone; the found line decides RM0 too
+    code, out, err = invoke(capsys, "search", "--predicate", "LM0|RM0", "--max-size", "1")
+    assert (code, out, err) == (
+        0, "found P=C1 Q=C1 left=(0) right=(0) LM0=holds RM0=holds\n", ""
+    )
+
+
 def test_search_with_generated_lattices(capsys):
     code, out, _ = invoke(
         capsys,

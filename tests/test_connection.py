@@ -326,10 +326,18 @@ def test_enumerate_adjoint_connections_counts(c2):
 
 
 def test_enumeration_matches_filtered_monotone_maps(bare_posets):
-    """The join-pruned walk yields what filtering every monotone map yields, in order."""
+    """The join-pruned walk yields what filtering every monotone map yields, in order.
+
+    Div12's index 0 is its top, so its index order is not a linear extension:
+    some of its joins come before their members and are checked, not forced.
+    """
     lattices = catalog() + list(generated_lattices(5))
     posets = list(bare_posets) + [catalog_named(n) for n in ("C1", "C2", "B2", "N5")]
     pairs = [(P, Q) for P in lattices for Q in lattices] + [(P, Q) for P in posets for Q in posets]
+    # the search's largest sources, through the forced-value path
+    sixes = [P for P in generated_lattices(6) if P.size == 6]
+    assert len(sixes) == 15
+    pairs += [(P, Q) for P in sixes for Q in catalog() if Q.size <= 4]
     for P, Q in pairs:
         oracle = [
             ac for f in monotone_maps(P, Q) if (ac := left_adjoint_connection(f)).right is not None

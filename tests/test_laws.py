@@ -44,7 +44,7 @@ from ordbench import (
 from ordbench import laws
 from ordbench.posetgen import generated_lattices
 
-from oracles import case_scan
+from oracles import case_scan, eager_search
 
 DATA = Path(__file__).parent / "data"
 
@@ -508,6 +508,64 @@ def test_search_finds_recorded_witness_with_pentagon():
     assert (result.found.p_name, result.found.q_name) == ("C3", "N5")
     assert result.found.left_values == (0, 1, 3)
     assert dict(result.found.laws) == {"LM0": True, "RM0": True, "LF0": True, "RF0": False}
+
+
+# The spellings of theorem 7c (LM0 & RM0 iff LF0 & RF0 between modular
+# lattices) that the benchmark's search workload draws from.
+SPELLINGS_7C = (
+    "LM0 & RM0 & !(LF0 & RF0)",
+    "RF0 & LF0 & !(RM0 & LM0)",
+    "LF0 & RF0 & !(LM0 & RM0)",
+    "!(LF0 & RF0) & LM0 & RM0",
+    "(LM0 & RM0) & (!LF0 | !RF0)",
+    "(RF0 & LF0) & (!LM0 | !RM0)",
+    "RM0 & LM0 & !(RF0 & LF0)",
+    "!(!LM0 | !RM0) & !(LF0 & RF0)",
+)
+
+
+def _assert_search_matches_eager(predicate, size, **flags):
+    lazy, eager = search_counterexample(predicate, size, **flags), eager_search(predicate, size, **flags)
+    assert (lazy.render(), lazy.cases) == (eager.render(), eager.cases), (predicate, size, flags)
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("predicate", SPELLINGS_7C)
+def test_search_matches_eager_oracle_on_7c(predicate):
+    for size in (4, 5):
+        for modular_only in (False, True):
+            for include_generated in (False, True):
+                _assert_search_matches_eager(
+                    predicate, size, modular_only=modular_only, include_generated=include_generated
+                )
+
+
+def test_search_matches_eager_oracle_on_short_circuits():
+    for predicate in ("LM0 | RM0", "!LM0", "LM0 & !LM1"):
+        for size in range(1, 6):
+            _assert_search_matches_eager(predicate, size)
+    _assert_search_matches_eager("LM0 & RM0 & !(LF0 & RF0)", 6)
+
+
+def test_search_decides_only_the_laws_it_reads(monkeypatch):
+    calls = []
+    decide = laws.eval_law
+
+    def counting_eval_law(law_id, ac):
+        calls.append(law_id)
+        return decide(law_id, ac)
+
+    monkeypatch.setattr(laws, "eval_law", counting_eval_law)
+    result = search_counterexample(
+        "LM0 & RM0 & !(LF0 & RF0)", 4, modular_only=True, include_generated=True
+    )
+    assert result.render() == "not found (766 cases)"
+    assert len(calls) == 1889  # deciding all 4 laws on every case makes 3064
+    calls.clear()
+    result = search_counterexample("LM0 | RM0", 1)
+    # the predicate reads LM0 only; the found line decides RM0 as well
+    assert result.render() == "found P=C1 Q=C1 left=(0) right=(0) LM0=holds RM0=holds"
+    assert calls == ["LM0", "RM0"]
 
 
 def test_suite_lf_counts_all_monotone_maps(c2, c3):
