@@ -92,7 +92,7 @@ def cmd_laws(args) -> int:
             for law_id in requested:  # default output lists applicable laws only
                 print(f"{law_id} skipped reason: connection has no adjoint maps")
             continue
-        ac = AdjointConnection(c, left, right)
+        ac = AdjointConnection(left, right)
         for law_id in requested or LAW_IDS:
             report = eval_law(law_id, ac)
             if report.skipped is not None and not requested:

@@ -13,9 +13,10 @@ therefore exists exactly when every row of R is a row of Q's order table,
 and a right adjoint exactly when every column of R is a column of P's; each
 adjoint value is one lookup of a row (column), with nothing left to verify.
 
-Conversely, a connection built from a map (a composite or restriction too)
-is read off an order table; only the relational :func:`compose` of two
-arbitrary connections fills its table cell by cell.
+An adjoint connection is its maps: monotone f and g are adjoint exactly
+when x <= g(f(x)) and f(g(y)) <= y for all x, y (unit and counit).  Its
+relation is read off an order table when first read; only the relational
+:func:`compose` of two arbitrary connections fills a table cell by cell.
 
 The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the
@@ -29,6 +30,7 @@ is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import (
@@ -73,41 +75,42 @@ class Connection:
 
 @dataclass(frozen=True, repr=False)
 class AdjointConnection:
-    """A connection bundled with its adjoint maps.
+    """An adjoint connection, as its left map f: P -> Q and right map g: Q -> P.
 
-    ``left`` and/or ``right`` may be absent; a fully adjoint connection has
-    both.  Construction verifies the defining biconditional of every map
-    that is present against the relation table.
+    Either map may be absent, but not both.  With both present, construction
+    checks that g runs Q -> P and that f -| g by unit and counit.  ``conn``
+    is read off a present map on first use.
     """
 
-    conn: Connection
     left: Optional[MonotoneMap]
     right: Optional[MonotoneMap]
 
     def __post_init__(self):
-        if self.left is None and self.right is None:
-            raise MissingAdjoint("an adjoint connection needs at least one adjoint map")
-        rel = self.conn.rel
-        P, Q = self.conn.source, self.conn.target
-        if self.left is not None:
-            if self.left.source != P or self.left.target != Q:
-                raise SourceTargetMismatch("left map does not match the connection's posets")
-            if any(Q.leq[fx] != row for fx, row in zip(self.left.values, rel)):
-                raise NotAdjoint("left map fails the adjunction biconditional")
-        if self.right is not None:
-            if self.right.source != Q or self.right.target != P:
-                raise SourceTargetMismatch("right map does not match the connection's posets")
-            cols = _columns(rel, Q)
-            if any(P.geq[gy] != col for gy, col in zip(self.right.values, cols)):
-                raise NotAdjoint("right map fails the adjunction biconditional")
+        f, g = self.left, self.right
+        if f is None or g is None:
+            if f is None and g is None:
+                raise MissingAdjoint("an adjoint connection needs at least one adjoint map")
+            return
+        if g.source != f.target or g.target != f.source:
+            raise SourceTargetMismatch("right map does not run back along the left map")
+        P, Q, fv, gv = f.source, f.target, f.values, g.values
+        unit = all(P.leq[x][gv[fx]] for x, fx in enumerate(fv))
+        if not (unit and all(Q.leq[fv[gy]][y] for y, gy in enumerate(gv))):
+            raise NotAdjoint("left and right maps are not adjoint")
 
     @property
     def source(self) -> FiniteLattice:
-        return self.conn.source
+        return self.left.source if self.left is not None else self.right.target
 
     @property
     def target(self) -> FiniteLattice:
-        return self.conn.target
+        return self.left.target if self.left is not None else self.right.source
+
+    @cached_property
+    def conn(self) -> Connection:
+        if self.left is not None:
+            return connection_of_monotone_left(self.left)
+        return connection_of_monotone_right(self.right)
 
     @property
     def is_adjoint(self) -> bool:
@@ -197,26 +200,24 @@ def connection_of_monotone_right(g: MonotoneMap) -> Connection:
 
 
 def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
-    """Bundle f's connection with f, plus the right adjoint when it exists."""
-    conn = connection_of_monotone_left(f)
-    return AdjointConnection(conn, f, find_right_adjoint(conn))
+    """f's adjoint connection, with the right adjoint when it exists."""
+    return AdjointConnection(f, find_right_adjoint(connection_of_monotone_left(f)))
 
 
 def right_adjoint_connection(g: MonotoneMap) -> AdjointConnection:
-    """Bundle g's connection with g, plus the left adjoint when it exists."""
-    conn = connection_of_monotone_right(g)
-    return AdjointConnection(conn, find_left_adjoint(conn), g)
+    """g's adjoint connection, with the left adjoint when it exists."""
+    return AdjointConnection(find_left_adjoint(connection_of_monotone_right(g)), g)
 
 
 def make_adjoint(c: Connection) -> Optional[AdjointConnection]:
-    """Bundle both adjoints of c, verifying the full chain; None if either is missing."""
+    """c as the adjoint connection of its two adjoints; None if either is missing."""
     left = find_left_adjoint(c)
     if left is None:
         return None
     right = find_right_adjoint(c)
     if right is None:
         return None
-    return AdjointConnection(c, left, right)
+    return AdjointConnection(left, right)
 
 
 def compose(r: Connection, s: Connection) -> Connection:
@@ -234,11 +235,10 @@ def compose(r: Connection, s: Connection) -> Connection:
 
 
 def compose_adjoint(r: AdjointConnection, s: AdjointConnection) -> AdjointConnection:
-    """Composite of two adjoint connections, read off the composed left map."""
+    """Composite of two adjoint connections: the composed left and right maps."""
     if not (r.is_adjoint and s.is_adjoint):
         raise MissingAdjoint("compose_adjoint needs fully adjoint connections")
-    left = compose_maps(r.left, s.left)
-    return AdjointConnection(connection_of_monotone_left(left), left, compose_maps(s.right, r.right))
+    return AdjointConnection(compose_maps(r.left, s.left), compose_maps(s.right, r.right))
 
 
 def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:

@@ -42,7 +42,7 @@ class NotAnOrder(OrdbenchError, ValueError):
 
 
 class NotAdjoint(OrdbenchError, ValueError):
-    """A map fails the adjunction biconditional against its connection."""
+    """A left and a right map fail x <= g(f(x)) or f(g(y)) <= y: not adjoint."""
 
 
 class MissingAdjoint(OrdbenchError, ValueError):

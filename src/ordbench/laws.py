@@ -669,7 +669,7 @@ def verify_composition_stability(r: AdjointConnection, s: AdjointConnection, law
     """law(r) and law(s) imply law(compose(r, s)), for LF0 or RF0."""
     if law_id not in ("LF0", "RF0"):
         raise UnsupportedLaw("composition stability is asserted for LF0 and RF0 only")
-    if r.conn.target != s.conn.source:
+    if r.target != s.source:
         raise SourceTargetMismatch("connections are not composable")
     return _implication(
         f"{law_id} stable under composition",

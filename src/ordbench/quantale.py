@@ -27,7 +27,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .lattice import FiniteLattice, MonotoneMap, _divisor_order, _divisors
-from .connection import AdjointConnection, connection_of_monotone_left
+from .connection import AdjointConnection
 from .laws import LawReport, Witness, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
@@ -153,15 +153,15 @@ def residual(q: Quantale, a: int, e: int) -> int:
 def element_connection(q: Quantale, e: int) -> AdjointConnection:
     """The adjoint connection of multiplication by e.
 
-    Left map b -> b*e, right map a -> a:e; the Galois biconditional is
-    verified on construction, so the result plugs straight into the law
-    evaluators.
+    Left map b -> b*e, right map a -> a:e; construction checks the
+    adjunction, b <= (b*e):e and (a:e)*e <= a, so the result plugs straight
+    into the law evaluators.
     """
     L = q.lattice
     L.check_element(e)
     f = MonotoneMap(L, L, tuple(q.mult[b][e] for b in range(L.size)))
     g = MonotoneMap(L, L, tuple(residual(q, a, e) for a in range(L.size)))
-    return AdjointConnection(connection_of_monotone_left(f), f, g)
+    return AdjointConnection(f, g)
 
 
 def _principal_law_report(law_id, labels, vars_, failure):

@@ -133,6 +133,36 @@ def test_laws_without_adjoints_lists_requested_laws_only(capsys, tmp_path):
     ]
 
 
+def test_one_sided_file_connections(capsys, tmp_path):
+    # top relates everything to 1: f = const 1, no right adjoint; bot relates
+    # only 0 to both elements: g = const 0, no left adjoint
+    path = tmp_path / "onesided.conn"
+    path.write_text(
+        "poset C2\nelem 0 1\nle 0 1\n"
+        "conn top C2 C2\nrel 0 1\nrel 1 1\nconn bot C2 C2\nrel 0 0\nrel 0 1\n"
+    )
+    assert invoke(capsys, "laws", str(path)) == (1, (
+        "conn top: C2 -> C2\n"
+        "LF1 fails witness: b=0 c=0 lhs=0 rhs=absent\n"
+        "LF2 fails witness: a=0 b=0 c=0 lhs=0 rhs=absent\n"
+        "conn bot: C2 -> C2\n"
+        "RF1 fails witness: c=0 b=1 lhs=1 rhs=absent\n"
+        "RF2 fails witness: c=0 d=0 b=1 lhs=1 rhs=absent\n"
+    ), "")
+    assert invoke(capsys, "laws", str(path), "--law", "LM0", "--law", "RF1") == (1, (
+        "conn top: C2 -> C2\n"
+        "LM0 skipped reason: right adjoint absent\n"
+        "RF1 skipped reason: right adjoint absent\n"
+        "conn bot: C2 -> C2\n"
+        "LM0 skipped reason: left adjoint absent\n"
+        "RF1 fails witness: c=0 b=1 lhs=1 rhs=absent\n"
+    ), "")
+    assert invoke(capsys, "adjoints", str(path)) == (0, (
+        "conn top: C2 -> C2\nleft: 0->1 1->1\nright: absent\n"
+        "conn bot: C2 -> C2\nleft: absent\nright: 0->0 1->0\n"
+    ), "")
+
+
 def test_laws_failing_connection_exits_1(capsys):
     code, out, _ = invoke(capsys, "laws", str(DATA / "mulm.conn"))
     assert code == 1

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from ordbench import (
     make_adjoint,
     monotone_maps,
     opposite,
+    parse_file,
     restrict_left,
     right_adjoint_connection,
 )
@@ -34,6 +36,8 @@ from ordbench.connection import _join_preserving_maps
 from ordbench.posetgen import generated_lattices
 
 from oracles import enumerate_connections, restrict_left_cells
+
+DATA = Path(__file__).parent / "data"
 
 
 def naive_is_connection(P, Q, rel):
@@ -168,28 +172,29 @@ def test_adjoint_connection_verifies_chain(c2):
     ident = MonotoneMap(c2, c2, (0, 1))
     const_bot = MonotoneMap(c2, c2, (0, 0))
     with pytest.raises(ValueError):
-        AdjointConnection(identity_connection(c2), ident, const_bot)
+        AdjointConnection(ident, const_bot)
 
 
 def test_connection_stores_rows_as_tuples(c2, c3):
     # Rows given as lists are stored as tuples, so the finders can hash them
-    # and AdjointConnection compares them equal to the order rows.
+    # and the relation an AdjointConnection derives compares equal to them.
     ident = MonotoneMap(c3, c3, (0, 1, 2))
     conn = Connection(c3, c3, [list(row) for row in c3.leq])
     assert conn.rel == c3.leq and all(type(row) is tuple for row in conn.rel)
     assert find_left_adjoint(conn).values == find_right_adjoint(conn).values == (0, 1, 2)
-    assert AdjointConnection(conn, ident, ident).is_adjoint
+    assert AdjointConnection(ident, ident).is_adjoint
+    assert AdjointConnection(ident, ident).conn == conn
     with pytest.raises(DimensionMismatch):
         Connection(c2, c3, [[True, True, True], [True, True]])
 
 
 def test_adjoint_errors_are_typed(c2):
     ident = MonotoneMap(c2, c2, (0, 1))
-    half = AdjointConnection(identity_connection(c2), ident, None)
+    half = AdjointConnection(ident, None)
     with pytest.raises(MissingAdjoint, match="fully adjoint"):
         compose_adjoint(half, half)
     with pytest.raises(MissingAdjoint, match="needs a left adjoint"):
-        restrict_left(AdjointConnection(identity_connection(c2), None, ident), 0)
+        restrict_left(AdjointConnection(None, ident), 0)
     for cls in (MissingAdjoint, NotAdjoint):
         assert issubclass(cls, OrdbenchError) and issubclass(cls, ValueError)
 
@@ -406,53 +411,38 @@ def test_adjoint_uniqueness_by_exhaustive_map_search(bare_posets, c3, b2):
     assert walked == 15871 + 2 * 4096 and round_trips == 1252
 
 
-def raw_map(source, target, values):
-    """A MonotoneMap built without its monotonicity check, to feed any table."""
-    m = object.__new__(MonotoneMap)
-    for attr, value in (("source", source), ("target", target), ("values", values)):
-        object.__setattr__(m, attr, value)
-    return m
-
-
-def oracle_adjoint_connection(conn, left, right):
+def oracle_adjoint_connection(left, right):
     """AdjointConnection's checks read cell by cell: (error type, message) or None."""
-    P, Q, rel = conn.source, conn.target, conn.rel
     if left is None and right is None:
         return (MissingAdjoint, "an adjoint connection needs at least one adjoint map")
-    if left is not None and any(
-        Q.leq[left.values[x]][y] != rel[x][y] for x in range(P.size) for y in range(Q.size)
-    ):
-        return (NotAdjoint, "left map fails the adjunction biconditional")
-    if right is not None and any(
-        P.leq[x][right.values[y]] != rel[x][y] for x in range(P.size) for y in range(Q.size)
-    ):
-        return (NotAdjoint, "right map fails the adjunction biconditional")
+    if left is None or right is None:
+        return None
+    P, Q, f, g = left.source, left.target, left.values, right.values
+    if right.source != Q or right.target != P:
+        return (SourceTargetMismatch, "right map does not run back along the left map")
+    if any(Q.leq[f[x]][y] != P.leq[x][g[y]] for x in range(P.size) for y in range(Q.size)):
+        return (NotAdjoint, "left and right maps are not adjoint")
     return None
 
 
 def test_adjoint_connection_matches_cell_by_cell_oracle(bare_posets):
-    posets = [L for L in small_posets(bare_posets) if L.size <= 2]
+    """Every left map P -> Q against every right map into P or out of Q, so
+    that both ends of a mismatched right map occur."""
+    posets = small_posets(bare_posets)
+    maps = {(P, Q): list(monotone_maps(P, Q)) for P in posets for Q in posets}
     built = 0
-    for P in posets:
-        for Q in posets:
-            lefts = [None] + [
-                raw_map(P, Q, v) for v in itertools.product(range(Q.size), repeat=P.size)
-            ]
-            rights = [None] + [
-                raw_map(Q, P, v) for v in itertools.product(range(P.size), repeat=Q.size)
-            ]
-            for rel in all_relations(P, Q):
-                conn = Connection(P, Q, rel)
-                for left in lefts:
-                    for right in rights:
-                        built += 1
-                        got = outcome(lambda: AdjointConnection(conn, left, right))
-                        expected = oracle_adjoint_connection(conn, left, right)
-                        if expected is None:
-                            assert got[0] == "ok"
-                        else:
-                            assert got[0] == "raises" and got[1:] == expected
-    assert built == 6844
+    for (P, Q), lefts in maps.items():
+        rights = [g for (S, R), gs in maps.items() if R is P or S is Q for g in gs]
+        for left in [None] + lefts:
+            for right in [None] + rights:
+                built += 1
+                got = outcome(lambda: AdjointConnection(left, right))
+                expected = oracle_adjoint_connection(left, right)
+                if expected is None:
+                    assert got[0] == "ok" and (got[1].left, got[1].right) == (left, right)
+                else:
+                    assert got[0] == "raises" and got[1:] == expected
+    assert built == 81332
 
 
 def small_catalog_pairs():
@@ -494,3 +484,38 @@ def test_left_adjoint_connection_bundles(c2, c3):
         assert ac.left.values == f.values
         if ac.right is not None:
             assert find_right_adjoint(ac.conn).values == ac.right.values
+
+
+def assert_relation_derived(ac):
+    """ac's relation is the one its maps define, and gives both of them back."""
+    conn = ac.conn
+    assert conn is ac.conn and (conn.source, conn.target) == (ac.source, ac.target)
+    if ac.left is not None:
+        assert conn == connection_of_monotone_left(ac.left)
+    if ac.right is not None:
+        assert conn == connection_of_monotone_right(ac.right)
+    assert values_or_none(find_left_adjoint(conn)) == values_or_none(ac.left)
+    assert values_or_none(find_right_adjoint(conn)) == values_or_none(ac.right)
+
+
+def test_derived_relation_loses_nothing():
+    """Adjoint and one-sided connections among small lattices, and the data files'."""
+    lattices = small_lattices()
+    checked = 0
+    for P in lattices:
+        for Q in lattices:
+            connections = (
+                enumerate_adjoint_connections(P, Q)
+                + [left_adjoint_connection(f) for f in monotone_maps(P, Q)]
+                + [right_adjoint_connection(g) for g in monotone_maps(Q, P)]
+            )
+            for ac in connections:
+                assert_relation_derived(ac)
+                checked += 1
+    files = [p for p in sorted(DATA.iterdir()) if not p.name.startswith("bad_")]
+    for c in (c for p in files for c in parse_file(p).connections.values()):
+        ac = AdjointConnection(find_left_adjoint(c), find_right_adjoint(c))
+        assert_relation_derived(ac)
+        assert ac.conn == c
+        checked += 1
+    assert checked == 1175 + 3  # pairs of small lattices, then the data files
