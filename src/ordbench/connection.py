@@ -22,9 +22,9 @@ The left map of a connection with both adjoints preserves bottom and every
 join that exists, so the adjoint connections P -> Q are enumerated over the
 monotone maps that do: the walk gives an element that is the join of two
 earlier ones the join of their values, drops a partial value table as soon
-as one of its joins fails, and the lookup of the right adjoint still
-decides which survivors are kept.  Between finite lattices every survivor
-is kept.
+as one of its joins fails, and keeps a survivor f when its closed-form
+right adjoint exists.  Between finite lattices every survivor is kept.  The
+walk yields value tables; the enumeration builds validated maps from them.
 """
 
 from __future__ import annotations
@@ -199,9 +199,29 @@ def connection_of_monotone_right(g: MonotoneMap) -> Connection:
     return Connection(P, g.source, _columns([P.geq[v] for v in g.values], P))
 
 
+def _right_adjoints(P: FiniteLattice, Q: FiniteLattice):
+    """The right adjoint in closed form of maps P -> Q: f's value table to g's, or None.
+
+    g(y) is the element whose down-set is {x : f(x) <= y}, if that set is principal.
+    """
+    by_down = {mask: x for x, mask in enumerate(P.down_masks)}
+    above = Q.up_sets
+
+    def right(f: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        pre = [0] * Q.size
+        for x, fx in enumerate(f):
+            for y in above[fx]:
+                pre[y] |= 1 << x
+        g = tuple(map(by_down.get, pre))
+        return None if None in g else g
+
+    return right
+
+
 def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
     """f's adjoint connection, with the right adjoint when it exists."""
-    return AdjointConnection(f, find_right_adjoint(connection_of_monotone_left(f)))
+    g = _right_adjoints(f.source, f.target)(f.values)
+    return AdjointConnection(f, None if g is None else MonotoneMap(f.target, f.source, g))
 
 
 def right_adjoint_connection(g: MonotoneMap) -> AdjointConnection:
@@ -258,11 +278,11 @@ def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
     )
 
 
-def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[MonotoneMap]:
-    """Monotone maps P -> Q that send P's bottom to Q's and preserve P's joins.
+def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[tuple[int, ...]]:
+    """Value tables of the monotone maps P -> Q that preserve P's bottom and joins.
 
     The left map of every adjoint connection P -> Q is one of them; they come
-    in lexicographic order of value tables.
+    in lexicographic order.
     A pair whose join is one of its members needs no check: monotonicity
     already preserves that join.  An index k that is the join of two earlier
     indices a and b has one value to try, the join in Q of the values at a
@@ -287,6 +307,14 @@ def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[Monoto
     return _backtrack(P, Q, choices, joins, forced)
 
 
+def _adjoint_tables(P: FiniteLattice, Q: FiniteLattice) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The value tables (f, g) of every adjoint connection P -> Q, ordered by f; no map is built."""
+    right = _right_adjoints(P, Q)
+    for f in _join_preserving_maps(P, Q):
+        if (g := right(f)) is not None:
+            yield f, g
+
+
 def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[AdjointConnection]:
     """All adjoint connections P -> Q, ordered lexicographically by left map table.
 
@@ -297,14 +325,12 @@ def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[Ad
     therefore walks only the monotone maps that preserve them: it tries only
     that join at an element that is the join of two earlier ones, drops a
     partial table as soon as a join check fails, and loses no adjoint
-    connection on any finite poset.  The row lookup of
-    :func:`find_right_adjoint` still decides which candidates are kept;
-    between finite lattices it accepts every one.  Nothing is cached: each
+    connection on any finite poset.  The closed-form right adjoint decides
+    which candidates are kept, and between finite lattices keeps every one;
+    each kept pair is checked by unit and counit.  Nothing is cached: each
     call walks afresh and returns a new list.
     """
-    out = []
-    for f in _join_preserving_maps(P, Q):
-        ac = left_adjoint_connection(f)
-        if ac.right is not None:
-            out.append(ac)
-    return out
+    return [
+        AdjointConnection(MonotoneMap(P, Q, f), MonotoneMap(Q, P, g))
+        for f, g in _adjoint_tables(P, Q)
+    ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -117,6 +118,11 @@ class FiniteLattice:
     def down_masks(self) -> tuple[int, ...]:
         """Each element's down-set as an int mask: bit c of ``down_masks[a]`` iff c <= a."""
         return tuple(map(_mask, self.geq))
+
+    @cached_property
+    def up_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Each element's up-set in ascending order: ``up_sets[a]`` lists every b >= a."""
+        return tuple(tuple(compress(range(self.size), row)) for row in self.leq)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -397,8 +403,8 @@ def catalog_named(name: str) -> FiniteLattice:
     raise UnknownLabel(f"no catalog lattice named {name!r}")
 
 
-def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, forced) -> Iterator[MonotoneMap]:
-    """Monotone maps source -> target, in lexicographic order of value tables, pruned.
+def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, forced) -> Iterator[tuple[int, ...]]:
+    """Value tables of monotone maps source -> target, in lexicographic order, pruned.
 
     Values are assigned in index order.  Index i tries only the values in
     ``choices[i]``, or, when ``forced[i]`` is a pair (a, b) of earlier
@@ -418,9 +424,9 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, for
     above = [[j for j in range(i) if leq_s[i][j]] for i in range(n)]
     values = [0] * n
 
-    def rec(i: int) -> Iterator[MonotoneMap]:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield MonotoneMap(source, target, tuple(values))
+            yield tuple(values)
             return
         if forced[i] is None:
             ys = choices[i]
@@ -445,7 +451,8 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, for
 def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator[MonotoneMap]:
     """All monotone maps source -> target, in lexicographic order of value tables."""
     n = source.size
-    yield from _backtrack(source, target, [range(target.size)] * n, [()] * n, [None] * n)
+    for values in _backtrack(source, target, [range(target.size)] * n, [()] * n, [None] * n):
+        yield MonotoneMap(source, target, values)
 
 
 @lru_cache(maxsize=None)

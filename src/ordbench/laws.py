@@ -35,10 +35,10 @@ reproduce a witness.  The tests keep the case-by-case scan of every law in
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 on the opposite connection Q.op -> P.op between the cached duals, whose left
-adjoint is g and whose right adjoint is f; ``_operands`` hands a kernel
-either connection.  A right-hand law's table entry renames the variables,
-visits them in its own order where the two laws list them differently, and
-swaps the two sides of an inequality, which reverses.
+adjoint is g and whose right adjoint is f; ``_first_failure``, which
+decides every law, hands a kernel either connection.  A right-hand law's
+table entry renames the variables, visits them in its own order where the
+two laws list them differently, and swaps the two sides of an inequality.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ from .errors import (
     UnsupportedLaw,
 )
 from . import posetgen
-from .lattice import FiniteLattice, catalog, monotone_maps
+from .lattice import FiniteLattice, MonotoneMap, catalog, monotone_maps
 from .connection import (
     AdjointConnection,
+    _adjoint_tables,
     compose_adjoint,
     enumerate_adjoint_connections,
     left_adjoint_connection,
@@ -142,39 +143,44 @@ class _LawDef:
     swap: bool = False  # a case's (lhs, rhs) are the law's (rhs, lhs)
 
 
-# hypothesis -> (skip reason, whether an adjoint connection P -> Q meets it)
+# hypothesis -> (skip reason, whether P -> Q, with or without each adjoint, meets it)
 _STRUCTURE = {
-    "left": ("left adjoint absent", lambda ac: ac.left is not None),
-    "right": ("right adjoint absent", lambda ac: ac.right is not None),
-    "topP": ("P has no top", lambda ac: ac.source.top is not None),
-    "botQ": ("Q has no bottom", lambda ac: ac.target.bottom is not None),
-    "meetsP": ("P lacks binary meets", lambda ac: ac.source.has_binary_meets),
-    "meetsQ": ("Q lacks binary meets", lambda ac: ac.target.has_binary_meets),
-    "joinsP": ("P lacks binary joins", lambda ac: ac.source.has_binary_joins),
-    "joinsQ": ("Q lacks binary joins", lambda ac: ac.target.has_binary_joins),
+    "left": ("left adjoint absent", lambda P, Q, left, right: left),
+    "right": ("right adjoint absent", lambda P, Q, left, right: right),
+    "topP": ("P has no top", lambda P, Q, left, right: P.top is not None),
+    "botQ": ("Q has no bottom", lambda P, Q, left, right: Q.bottom is not None),
+    "meetsP": ("P lacks binary meets", lambda P, Q, left, right: P.has_binary_meets),
+    "meetsQ": ("Q lacks binary meets", lambda P, Q, left, right: Q.has_binary_meets),
+    "joinsP": ("P lacks binary joins", lambda P, Q, left, right: P.has_binary_joins),
+    "joinsQ": ("Q lacks binary joins", lambda P, Q, left, right: Q.has_binary_joins),
 }
 
 
-def _missing_structure(ac: AdjointConnection, requires) -> Optional[str]:
-    """The skip reason of the first hypothesis in ``requires`` that ac misses."""
+def _missing_structure(requires, P, Q, left=True, right=True) -> Optional[str]:
+    """The first hypothesis in ``requires`` that P -> Q misses, as a skip reason, or None."""
     for req in requires:
         reason, present = _STRUCTURE[req]
-        if not present(ac):
+        if not present(P, Q, left, right):
             return reason
     return None
 
 
-def _operands(law: _LawDef, ac: AdjointConnection):
-    """The (P, Q, f, g) a law reads: its lattices and its adjoints' value tables.
-
-    A right-hand law reads the opposite connection Q.op -> P.op, whose left
-    adjoint is g and whose right adjoint is f.
-    """
+def _tables(ac: AdjointConnection):
+    """ac as (P, Q, f, g): its lattices and its adjoints' value tables, None where absent."""
     f = ac.left.values if ac.left is not None else None
     g = ac.right.values if ac.right is not None else None
-    if law.opposite:
-        return ac.target.op, ac.source.op, g, f
     return ac.source, ac.target, f, g
+
+
+def _operands(law: _LawDef, ac: AdjointConnection):
+    """The (P, Q, f, g) a law's kernel reads on ac; see :func:`_first_failure`."""
+    P, Q, f, g = _tables(ac)
+    return (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
+
+
+def _first_failure(law: _LawDef, P, Q, f, g):
+    """A law's first failing (case, lhs, rhs) on (P, Q, f, g), whose hypotheses hold, or None."""
+    return law.first_failure(Q.op, P.op, g, f) if law.opposite else law.first_failure(P, Q, f, g)
 
 
 def _low_bit(mask: int) -> int:
@@ -459,8 +465,9 @@ LAW_TABLE.update(
 
 
 def _witness(law: _LawDef, P, Q, case, lhs, rhs) -> Witness:
-    # A dual poset keeps the labels of the original, so a right-hand law's
-    # case is labelled from the posets of the connection it was evaluated on.
+    # A right-hand law ran on Q.op -> P.op, whose posets keep Q's and P's labels.
+    if law.opposite:
+        P, Q = Q, P
     sides = {"P": P.labels, "Q": Q.labels}
     labels = tuple(sides[side] for side in law.var_sides)
     if law.reverse:
@@ -484,11 +491,11 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     report; they never abort a batch.
     """
     law = _law(law_id)
-    reason = _missing_structure(ac, law.requires)
+    P, Q, f, g = _tables(ac)
+    reason = _missing_structure(law.requires, P, Q, f is not None, g is not None)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
-    P, Q, f, g = _operands(law, ac)
-    failure = law.first_failure(P, Q, f, g)
+    failure = _first_failure(law, P, Q, f, g)
     if failure is None:
         return LawReport(law_id, True, None, None)
     return LawReport(law_id, False, _witness(law, P, Q, *failure), None)
@@ -540,7 +547,7 @@ class ImplicationCheck:
 # suites' units and their failure functions name what they call at call
 # time, so a module attribute rebound after import (as the benchmark's
 # tracer does) is honoured.  The suites re-read pairs, so the walk runs
-# once per pair behind this cache; search reads each pair once, uncached.
+# once per pair behind this cache; search walks each pair's tables once.
 @lru_cache(maxsize=None)
 def _adjoint_connections(P, Q):
     return tuple(enumerate_adjoint_connections(P, Q))
@@ -589,7 +596,8 @@ def verify_theorem(name: str, ac: AdjointConnection) -> EquivalenceReport:
         _, requires, laws = THEOREMS[name]
     except KeyError:
         raise UnknownSuite(f"unknown theorem {name!r}") from None
-    reason = _missing_structure(ac, requires)
+    P, Q, f, g = _tables(ac)
+    reason = _missing_structure(requires, P, Q, f is not None, g is not None)
     if reason is not None:
         return EquivalenceReport(name, (), skipped=reason)
     return EquivalenceReport(name, tuple(eval_law(law_id, ac) for law_id in laws))
@@ -811,20 +819,20 @@ class SearchResult:
 
 
 class _Verdicts(dict):
-    """Law id -> whether it holds on one connection, decided on first read.
+    """Law id -> whether it holds on one connection (P, Q, f, g), decided on first read.
 
-    A missing key is decided by :func:`eval_law` and kept, so the
+    A missing key is decided by :func:`_first_failure` and kept, so the
     predicate's short-circuit ``&``/``|`` decides only the laws it reads.
     The caller has checked that none of them is skipped on the connection.
     """
 
-    __slots__ = ("ac",)
+    __slots__ = ("connection",)
 
-    def __init__(self, ac: AdjointConnection):
-        self.ac = ac
+    def __init__(self, *connection):
+        self.connection = connection
 
     def __missing__(self, law_id: str) -> bool:
-        holds = self[law_id] = eval_law(law_id, self.ac).holds
+        holds = self[law_id] = _first_failure(LAW_TABLE[law_id], *self.connection) is None
         return holds
 
 
@@ -843,11 +851,13 @@ def search_counterexample(
     a fixed order, one pair at a time and uncached; returns the first
     satisfying case or the number of cases examined.  A case counts only
     when the hypotheses of every law the predicate names hold, so no law is
-    skipped on it.  The predicate then decides only the laws its
-    short-circuit ``&``/``|`` reads; a found case lists every law it names,
-    in order, deciding the unread ones for that line.  A max_size outside 1
-    to 8, or 1 to MAX_GENERATED_SIZE with generated lattices, raises
-    SizeBoundExceeded before any work.
+    skipped on it; every case has both adjoints, so the hypotheses are
+    checked once per ordered pair.  A case is a pair of value tables (f,
+    g), and the predicate decides, each by its kernel, only the laws its
+    short-circuit ``&``/``|`` reads; a found case is re-validated as an
+    AdjointConnection and lists every law named, in order, deciding the
+    unread ones.  A max_size outside 1 to 8, or 1 to MAX_GENERATED_SIZE
+    with generated lattices, raises SizeBoundExceeded before any work.
     """
     limit = posetgen.MAX_GENERATED_SIZE if include_generated else 8
     if not 1 <= max_size <= limit:
@@ -864,20 +874,16 @@ def search_counterexample(
     if modular_only:
         corpus = [L for L in corpus if L.is_modular]
     cases = 0
-    for connections in _pairs(enumerate_adjoint_connections, corpus):
-        for ac in connections:
-            if _missing_structure(ac, requires) is not None:
-                continue
+    for P, Q in product(corpus, repeat=2):
+        if _missing_structure(requires, P, Q) is not None:
+            continue
+        for f, g in _adjoint_tables(P, Q):
             cases += 1
-            values = _Verdicts(ac)
+            values = _Verdicts(P, Q, f, g)
             if predicate.evaluate(values):
-                found = FoundCase(
-                    ac.source.name,
-                    ac.target.name,
-                    ac.left.values,
-                    ac.right.values,
-                    tuple((law_id, values[law_id]) for law_id in predicate.laws),
-                )
+                ac = AdjointConnection(MonotoneMap(P, Q, f), MonotoneMap(Q, P, g))
+                verdicts = tuple((law_id, values[law_id]) for law_id in predicate.laws)
+                found = FoundCase(P.name, Q.name, ac.left.values, ac.right.values, verdicts)
                 return SearchResult(found, cases)
     return SearchResult(None, cases)
 

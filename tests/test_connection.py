@@ -32,7 +32,7 @@ from ordbench import (
     restrict_left,
     right_adjoint_connection,
 )
-from ordbench.connection import _join_preserving_maps
+from ordbench.connection import _adjoint_tables, _join_preserving_maps, _right_adjoints
 from ordbench.posetgen import generated_lattices
 
 from oracles import enumerate_connections, restrict_left_cells
@@ -331,7 +331,8 @@ def test_enumerate_adjoint_connections_counts(c2):
 
 
 def test_enumeration_matches_filtered_monotone_maps(bare_posets):
-    """The join-pruned walk yields what filtering every monotone map yields, in order.
+    """The join-pruned walk yields what filtering every monotone map yields, in order,
+    as validated connections and as the value tables the search walks.
 
     Div12's index 0 is its top, so its index order is not a linear extension:
     some of its joins come before their members and are checked, not forced.
@@ -348,10 +349,34 @@ def test_enumeration_matches_filtered_monotone_maps(bare_posets):
             ac for f in monotone_maps(P, Q) if (ac := left_adjoint_connection(f)).right is not None
         ]
         assert enumerate_adjoint_connections(P, Q) == oracle, (P.name, Q.name)
+        tables = [(ac.left.values, ac.right.values) for ac in oracle]
+        assert list(_adjoint_tables(P, Q)) == tables, (P.name, Q.name)
         if P.is_lattice and Q.is_lattice:
             # between lattices, preserving bottom and joins is already enough
             for f in _join_preserving_maps(P, Q):
-                assert find_right_adjoint(connection_of_monotone_left(f)) is not None
+                assert find_right_adjoint(connection_of_monotone_left(MonotoneMap(P, Q, f))) is not None
+
+
+def test_closed_form_right_adjoint_matches_column_lookup(bare_posets):
+    """g(y) = the element whose down-set is {x : f(x) <= y} is find_right_adjoint's
+    column lookup on f's relation, and is missing exactly where that finds none.
+
+    The bare posets, where right adjoints can be missing, come in through
+    small_posets; the catalog lattices of size <= 4 add Q's of size 4.
+    """
+    lattices = [L for L in catalog() if L.size <= 4]
+    posets = small_posets(bare_posets)
+    pairs = [(P, Q) for P in posets for Q in posets] + [(P, Q) for P in lattices for Q in lattices]
+    checked = missing = 0
+    for P, Q in pairs:
+        right = _right_adjoints(P, Q)
+        for f in monotone_maps(P, Q):
+            oracle = find_right_adjoint(connection_of_monotone_left(f))
+            assert right(f.values) == values_or_none(oracle), (P.name, Q.name, f.values)
+            assert left_adjoint_connection(f) == AdjointConnection(f, oracle)
+            checked += 1
+            missing += oracle is None
+    assert (checked, missing) == (1055, 592)  # recounted by a search over every g
 
 
 def small_posets(bare_posets):

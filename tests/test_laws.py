@@ -547,19 +547,33 @@ def test_search_matches_eager_oracle_on_short_circuits():
 
 
 def test_search_decides_only_the_laws_it_reads(monkeypatch):
-    calls = []
-    decide = laws.eval_law
+    """Decisions are counted at the kernel layer, which eval_law also goes through."""
+    calls, hypotheses, reports = [], [], []
+    decide, missing, report = laws._first_failure, laws._missing_structure, laws.eval_law
+
+    def counting_first_failure(law, *connection):
+        calls.append(law.id)
+        return decide(law, *connection)
+
+    def counting_missing_structure(requires, P, Q, *adjoints):
+        hypotheses.append((P, Q))
+        return missing(requires, P, Q, *adjoints)
 
     def counting_eval_law(law_id, ac):
-        calls.append(law_id)
-        return decide(law_id, ac)
+        reports.append(law_id)
+        return report(law_id, ac)
 
+    monkeypatch.setattr(laws, "_first_failure", counting_first_failure)
+    monkeypatch.setattr(laws, "_missing_structure", counting_missing_structure)
     monkeypatch.setattr(laws, "eval_law", counting_eval_law)
     result = search_counterexample(
         "LM0 & RM0 & !(LF0 & RF0)", 4, modular_only=True, include_generated=True
     )
     assert result.render() == "not found (766 cases)"
     assert len(calls) == 1889  # deciding all 4 laws on every case makes 3064
+    assert reports == []  # each law is decided by its kernel, with no report
+    # hypotheses once per ordered pair of the 12 modular lattices, not per connection
+    assert len(hypotheses) == len(set(hypotheses)) == 12 * 12
     calls.clear()
     result = search_counterexample("LM0 | RM0", 1)
     # the predicate reads LM0 only; the found line decides RM0 as well
