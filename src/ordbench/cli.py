@@ -3,12 +3,13 @@
 All reports are plain UTF-8 text, one fact per line, byte-identical across
 runs for identical inputs.  Exit status: 0 on success, 1 when a theorem
 verifier found a disagreement or an explicitly requested law failed, 2 for
-usage and input errors.
+usage and input errors and for output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import MissingBlock, OrdbenchError, UnknownLaw
@@ -211,10 +212,29 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except OrdbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the verbs read files only through parse_file
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device once a write to it has failed.
+
+    What stdout still buffers is flushed again at interpreter exit; without
+    this, that flush fails too and prints an ``Exception ignored`` report.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a descriptor: nothing is flushed to it at exit
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def main() -> None:

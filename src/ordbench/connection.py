@@ -7,11 +7,11 @@ x <= g(y)), both, or neither; when both exist they form a Galois
 connection.  Adjoints are unique, so a connection is faithfully described
 by either map.
 
-The defining biconditionals say that row x of R is the principal up-set of
-f(x) and column y of R is the principal down-set of g(y).  A left adjoint
-therefore exists exactly when every row of R is a row of Q's order table,
-and a right adjoint exactly when every column of R is a column of P's; each
-adjoint value is one lookup of a row (column), with nothing left to verify.
+The defining biconditionals say that column y of R is the principal
+down-set of g(y), and row x the principal up-set of f(x), a down-set of Q's
+dual.  So each adjoint value is one mask looked up in a ``down_index``, P's
+for a column and Q.op's for a row; a mask that is no element's means no
+adjoint.  g's left adjoint is its closed-form right adjoint between the duals.
 
 An adjoint connection is its maps: monotone f and g are adjoint exactly
 when x <= g(f(x)) and f(g(y)) <= y for all x, y (unit and counit).  Its
@@ -43,6 +43,7 @@ from .lattice import (
     FiniteLattice,
     MonotoneMap,
     _backtrack,
+    _mask,
     compose_maps,
     down_set,
 )
@@ -53,8 +54,7 @@ class Connection:
     """A weakening-closed relation between two posets, as a boolean table.
 
     ``rel`` has ``source.size`` rows of ``target.size`` bools; any sequence
-    of sequences is accepted and stored as a tuple of row tuples, which the
-    adjoint finders look up as dictionary keys.
+    of sequences is accepted and stored as a tuple of row tuples.
     """
 
     source: FiniteLattice
@@ -166,26 +166,21 @@ def opposite(c: Connection) -> Connection:
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:
     """The unique map f with f(x) <= y iff x R y, or None.
 
-    The biconditional says row x of R is the up-set of f(x), so f(x) is the
-    element of Q whose order row equals it; None if some row is no element's.
+    Row x of R must be the up-set of f(x), a down-set of Q's dual: a lookup in Q.op's index.
     """
-    by_row = {row: y for y, row in enumerate(c.target.leq)}
-    values = tuple(by_row.get(row) for row in c.rel)
-    if None in values:
-        return None
-    return MonotoneMap(c.source, c.target, values)
+    index = c.target.op.down_index
+    values = tuple(index.get(_mask(row)) for row in c.rel)
+    return None if None in values else MonotoneMap(c.source, c.target, values)
 
 
 def find_right_adjoint(c: Connection) -> Optional[MonotoneMap]:
     """The unique map g with x R y iff x <= g(y), or None.
 
-    Column y of R must be the down-set of g(y): a lookup among P's columns.
+    Column y of R must be the down-set of g(y): a lookup in P's index.
     """
-    by_col = {col: x for x, col in enumerate(c.source.geq)}
-    values = tuple(by_col.get(col) for col in _columns(c.rel, c.target))
-    if None in values:
-        return None
-    return MonotoneMap(c.target, c.source, values)
+    index = c.source.down_index
+    values = tuple(index.get(_mask(col)) for col in _columns(c.rel, c.target))
+    return None if None in values else MonotoneMap(c.target, c.source, values)
 
 
 def connection_of_monotone_left(f: MonotoneMap) -> Connection:
@@ -204,15 +199,14 @@ def _right_adjoints(P: FiniteLattice, Q: FiniteLattice):
 
     g(y) is the element whose down-set is {x : f(x) <= y}, if that set is principal.
     """
-    by_down = {mask: x for x, mask in enumerate(P.down_masks)}
-    above = Q.up_sets
+    index, above = P.down_index, Q.up_sets
 
     def right(f: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         pre = [0] * Q.size
         for x, fx in enumerate(f):
             for y in above[fx]:
                 pre[y] |= 1 << x
-        g = tuple(map(by_down.get, pre))
+        g = tuple(map(index.get, pre))
         return None if None in g else g
 
     return right
@@ -225,8 +219,9 @@ def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
 
 
 def right_adjoint_connection(g: MonotoneMap) -> AdjointConnection:
-    """g's adjoint connection, with the left adjoint when it exists."""
-    return AdjointConnection(find_left_adjoint(connection_of_monotone_right(g)), g)
+    """g's adjoint connection, with its left adjoint (its right adjoint between the duals) if any."""
+    f = _right_adjoints(g.source.op, g.target.op)(g.values)
+    return AdjointConnection(None if f is None else MonotoneMap(g.target, g.source, f), g)
 
 
 def make_adjoint(c: Connection) -> Optional[AdjointConnection]:

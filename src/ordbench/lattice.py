@@ -120,6 +120,11 @@ class FiniteLattice:
         return tuple(map(_mask, self.geq))
 
     @cached_property
+    def down_index(self) -> dict[int, int]:
+        """Each element keyed by its down-set mask: ``down_index[down_masks[a]] == a``."""
+        return {mask: a for a, mask in enumerate(self.down_masks)}
+
+    @cached_property
     def up_sets(self) -> tuple[tuple[int, ...], ...]:
         """Each element's up-set in ascending order: ``up_sets[a]`` lists every b >= a."""
         return tuple(tuple(compress(range(self.size), row)) for row in self.leq)

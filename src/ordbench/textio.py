@@ -19,7 +19,13 @@ from pathlib import Path
 from .errors import NotUTF8, OrdbenchError, ParseError, UnreadableFile
 from .lattice import FiniteLattice, MonotoneMap, build_poset
 from .connection import Connection, find_weakening_violation
-from .quantale import Quantale, build_quantale
+from .quantale import MAX_DIVISORS, Quantale, build_quantale
+
+# Input bounds, checked before any table is built.  A poset block may declare
+# as many elements as the largest divisor lattice `quantale --zn` accepts; a
+# file of that size with a full quantale table is a few MB.
+MAX_ELEMENTS = MAX_DIVISORS
+MAX_FILE_BYTES = 16 << 20
 
 
 @dataclass
@@ -108,6 +114,10 @@ class _Parser:
                 if a not in (block.posets[at].labels if block.posets else block.labels):
                     self.fail(lineno, f"unknown {word} {a!r}")
         if head == "elem":
+            if len(block.labels) + len(args) > MAX_ELEMENTS:
+                self.fail(
+                    block.line, f"poset {block.name!r} has more than {MAX_ELEMENTS} elements"
+                )
             for lab in args:
                 if lab in block.labels:
                     self.fail(lineno, f"duplicate label {lab!r}")
@@ -194,11 +204,17 @@ def parse_text(text: str, filename: str = "<string>") -> Document:
 
 
 def parse_file(path) -> Document:
+    """Parse a file of at most MAX_FILE_BYTES bytes of UTF-8 text."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise UnreadableFile(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise UnreadableFile(f"{path}: longer than {MAX_FILE_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NotUTF8(f"{path}: not UTF-8 text at byte {exc.start}") from None
     return parse_text(text, str(path))

@@ -1,14 +1,21 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import LAW_IDS
 from ordbench.cli import run
+from ordbench.quantale import MAX_DIVISORS
+from ordbench.textio import MAX_FILE_BYTES
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -92,6 +99,78 @@ def test_adjoints_mulm(capsys):
         "left: bot->bot m->m top->m",
         "right: bot->bot m->top top->top",
     ]
+
+
+def test_absent_adjoints_file(capsys):
+    # up: V -> C2 has a left adjoint but no right one (column 1 is all of V,
+    # which has no top); down: C2 -> V has a right adjoint but no left one
+    # (row 1 is empty, no element's up-set)
+    path = str(DATA / "absent.conn")
+    assert invoke(capsys, "adjoints", path) == (0, (
+        "conn up: V -> C2\nleft: bot->0 a->1 b->1\nright: absent\n"
+        "conn down: C2 -> V\nleft: absent\nright: bot->0 a->0 b->0\n"
+    ), "")
+    assert invoke(capsys, "laws", path) == (1, (
+        "conn up: V -> C2\nLF1 holds\nLF2 holds\n"
+        "conn down: C2 -> V\n"
+        "RF1 fails witness: c=bot b=1 lhs=1 rhs=absent\n"
+        "RF2 fails witness: c=bot d=bot b=1 lhs=1 rhs=absent\n"
+    ), "")
+
+
+def test_inputs_beyond_the_bounds_are_input_errors(capsys, tmp_path):
+    # one elem line declaring 20,000 labels is rejected before the order
+    # table is built, and an endless file before it is read to its end
+    wide = tmp_path / "wide.poset"
+    wide.write_text("poset A\nelem " + " ".join(f"a{i}" for i in range(20000)) + "\n")
+    message = f"{wide}:1: poset 'A' has more than {MAX_DIVISORS} elements"
+    assert invoke(capsys, "check", str(wide)) == (2, "", f"error: {message}\n")
+    if os.path.exists("/dev/zero"):
+        message = f"/dev/zero: longer than {MAX_FILE_BYTES} bytes"
+        assert invoke(capsys, "check", "/dev/zero") == (2, "", f"error: {message}\n")
+
+
+def run_child(argv, stdout, unbuffered):
+    """ordbench in a child interpreter writing to ``stdout``: (exit status, stderr lines).
+
+    A buffered child, the default, fails its writes when its buffer fills and
+    at the final flush; an unbuffered one (PYTHONUNBUFFERED) at every print.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.run(
+        [sys.executable, "-m", "ordbench.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    return child.returncode, child.stderr.decode().splitlines()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_write_failure_on_a_full_device_exits_2(unbuffered):
+    # buffered, the whole report fits stdout's buffer and fails at the flush
+    with open("/dev/full", "wb") as full:
+        code, err = run_child(["quantale", "--zn", "12", "--principal"], full, unbuffered)
+    assert (code, err) == (2, ["error: cannot write output: No space left on device"])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_write_failure_on_a_closed_pipe_exits_2(tmp_path, unbuffered):
+    # buffered, 30 KB of report fill the buffer, so a print fails before the end
+    path = tmp_path / "many.poset"
+    path.write_text("".join(f"poset P{i}\nelem a\n" for i in range(400)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = run_child(["check", str(path)], write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (2, ["error: cannot write output: Broken pipe"])
 
 
 def test_laws_single_law(capsys):

@@ -379,6 +379,28 @@ def test_closed_form_right_adjoint_matches_column_lookup(bare_posets):
     assert (checked, missing) == (1055, 592)  # recounted by a search over every g
 
 
+def test_dual_closed_form_left_adjoint_matches_row_lookup(bare_posets, monkeypatch):
+    """right_adjoint_connection(g) reads g's left adjoint as g's closed-form right
+    adjoint between the duals, and equals the row lookup on g's relation that it
+    replaced, with no Connection built; same corpus as the column-lookup test.
+    """
+    lattices = [L for L in catalog() if L.size <= 4]
+    posets = small_posets(bare_posets)
+    pairs = [(P, Q) for P in posets for Q in posets] + [(P, Q) for P in lattices for Q in lattices]
+    maps = [g for P, Q in pairs for g in monotone_maps(Q, P)]
+    oracles = [AdjointConnection(find_left_adjoint(connection_of_monotone_right(g)), g) for g in maps]
+
+    def no_connection(self):
+        raise AssertionError("right_adjoint_connection built a Connection")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Connection, "__post_init__", no_connection)
+        closed = [right_adjoint_connection(g) for g in maps]
+    assert closed == oracles
+    missing = sum(ac.left is None for ac in oracles)
+    assert (len(maps), missing) == (1055, 592)  # recounted by a search over every f
+
+
 def small_posets(bare_posets):
     """Every poset of size <= 3 the oracles walk: catalog, generated and bare."""
     posets = catalog() + list(generated_lattices(3)) + list(bare_posets)
@@ -543,4 +565,4 @@ def test_derived_relation_loses_nothing():
         assert_relation_derived(ac)
         assert ac.conn == c
         checked += 1
-    assert checked == 1175 + 3  # pairs of small lattices, then the data files
+    assert checked == 1175 + 5  # pairs of small lattices, then the data files

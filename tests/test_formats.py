@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from ordbench import (
     parse_text,
 )
 from ordbench.cli import _blocks
+from ordbench.quantale import MAX_DIVISORS
+from ordbench.textio import MAX_ELEMENTS, MAX_FILE_BYTES
 
 DATA = Path(__file__).parent / "data"
 
@@ -277,3 +280,28 @@ def test_input_errors_are_typed(tmp_path):
             call()
         assert type(info.value) is cls
         assert str(info.value) == message
+
+
+def antichain(n):
+    return "poset A\n" + "".join(f"elem a{i}\n" for i in range(n))
+
+
+def test_poset_blocks_hold_at_most_the_divisor_bound():
+    # an antichain keeps the closure and the order checks fast
+    assert MAX_ELEMENTS == MAX_DIVISORS == 240
+    assert parse_text(antichain(MAX_ELEMENTS)).posets["A"].size == MAX_ELEMENTS
+    with pytest.raises(ParseError) as info:
+        parse_text(antichain(MAX_ELEMENTS + 1))
+    assert (info.value.line, info.value.message) == (1, "poset 'A' has more than 240 elements")
+
+
+def test_files_hold_at_most_the_byte_bound(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"#" * MAX_FILE_BYTES)
+    assert parse_file(path).order == []
+    path.write_bytes(b"#" * (MAX_FILE_BYTES + 1))
+    devices = [Path("/dev/zero")] if os.path.exists("/dev/zero") else []
+    for endless in [path] + devices:
+        with pytest.raises(UnreadableFile) as info:
+            parse_file(endless)
+        assert str(info.value) == f"{endless}: longer than {MAX_FILE_BYTES} bytes"
