@@ -41,6 +41,8 @@ def _blocks(doc, kind: str, path) -> list[str]:
 
 def cmd_check(args) -> int:
     doc = parse_file(args.file)
+    if not doc.order:
+        raise MissingBlock(f"{args.file}: no block")
     for kind, name in doc.order:
         if kind == "poset":
             L = doc.posets[name]

@@ -93,10 +93,7 @@ class AdjointConnection:
             return
         if g.source != f.target or g.target != f.source:
             raise SourceTargetMismatch("right map does not run back along the left map")
-        P, Q, fv, gv = f.source, f.target, f.values, g.values
-        unit = all(P.leq[x][gv[fx]] for x, fx in enumerate(fv))
-        if not (unit and all(Q.leq[fv[gy]][y] for y, gy in enumerate(gv))):
-            raise NotAdjoint("left and right maps are not adjoint")
+        _check_adjoint(f.source, f.target, f.values, g.values)
 
     @property
     def source(self) -> FiniteLattice:
@@ -123,6 +120,16 @@ class AdjointConnection:
             f"AdjointConnection({self.source.name}->{self.target.name}, "
             f"left={lv}, right={rv})"
         )
+
+
+def _check_adjoint(P: FiniteLattice, Q: FiniteLattice, f, g) -> None:
+    """Raise NotAdjoint unless f: P -> Q and g: Q -> P, as value tables, have a unit and counit.
+
+    That is, x <= g(f(x)) for every x of P and f(g(y)) <= y for every y of Q.
+    """
+    unit = all(P.leq[x][g[fx]] for x, fx in enumerate(f))
+    if not (unit and all(Q.leq[f[gy]][y] for y, gy in enumerate(g))):
+        raise NotAdjoint("left and right maps are not adjoint")
 
 
 def find_weakening_violation(source, target, rel) -> Optional[tuple[int, int, int, int]]:

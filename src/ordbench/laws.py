@@ -18,10 +18,21 @@ full adjoint pair.  ``THEOREMS`` lists, per theorem, the connections its
 suite visits, its hypotheses and the chain of laws it asserts equivalent;
 ``verify_theorem`` evaluates one chain on one connection.  The other checks
 go through one implication evaluator and one biconditional evaluator.
-``SUITES`` lists all nine suites, each as the lattices it visits, the cases
-of each unit (an ordered pair, or a composable triple) and the failure lines
-of one case; ``run_suite`` is the one loop over them, and the counterexample
+``SUITES`` lists all nine suites, each as the lattices it visits, its units
+(an ordered pair, or a composable triple) and the failure lines of each case
+of a unit; ``run_suite`` is the one loop over them, and the counterexample
 search walks the same pairs.
+
+The suites walk value tables, as search does.  A case is the tables (f, g)
+of a connection: one of the pair's adjoint connections, or for lf and rf a
+monotone map with its other adjoint read in closed form.  Hypotheses are
+checked once per ordered pair, and every law is decided by its kernel
+through ``_first_failure``.  The verdicts on a pair's adjoint connections
+are kept beside their tables, two bits per law in one int per connection,
+so a law that several suites read, or that a composition leg reads, is
+decided once.  A witness is built only for a line that is printed, and no
+report or AdjointConnection at all; the tests keep the suites on objects,
+through ``eval_law`` and the ``verify_*`` functions, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
@@ -62,10 +73,9 @@ from .lattice import FiniteLattice, MonotoneMap, catalog, monotone_maps
 from .connection import (
     AdjointConnection,
     _adjoint_tables,
+    _check_adjoint,
+    _right_adjoints,
     compose_adjoint,
-    enumerate_adjoint_connections,
-    left_adjoint_connection,
-    right_adjoint_connection,
 )
 
 LAW_IDS = (
@@ -223,10 +233,27 @@ def _image_masks(P, f):
     return repeat(reduce(or_, map((1).__lshift__, f), 0))
 
 
-def _down_image_masks(P, f) -> list[int]:
+def _images_below(P, f) -> list[int]:
     """Per b, the image under f of everything below b, as a mask over Q."""
     bits = tuple(map((1).__lshift__, f))
     return [reduce(or_, compress(bits, below), 0) for below in P.geq]
+
+
+# (P, f, masks) of the last map whose masks were built: LF1 and LF2 on one
+# map, and RF1 and RF2 on one opposite map, read them in turn.  The masks
+# depend on P and f alone, so the slot changes no verdict.
+_last_images = (None, None, None)
+
+
+def _down_image_masks(P, f) -> list[int]:
+    """:func:`_images_below`, built once for consecutive reads of the same P and table f."""
+    global _last_images
+    last = _last_images
+    if last[0] is P and last[1] is f:
+        return last[2]
+    masks = _images_below(P, f)
+    _last_images = (P, f, masks)
+    return masks
 
 
 def _first_missing_image(images, P, Q, f, g):
@@ -543,46 +570,95 @@ class ImplicationCheck:
         return self.status not in ("disagree", "violated")
 
 
-# The connections a suite visits for each ordered pair (P, Q).  These, the
-# suites' units and their failure functions name what they call at call
-# time, so a module attribute rebound after import (as the benchmark's
-# tracer does) is honoured.  The suites re-read pairs, so the walk runs
-# once per pair behind this cache; search walks each pair's tables once.
+class _Pair:
+    """The adjoint connections P -> Q as value tables (f, g), ordered by f, with their verdicts.
+
+    ``memo[k]`` holds two bits per law for ``tables[k]``: bit 2i is set once
+    law ``LAW_IDS[i]`` is decided there, and bit 2i+1 when it holds.
+    """
+
+    __slots__ = ("P", "Q", "tables", "memo")
+
+    def __init__(self, P, Q):
+        self.P, self.Q = P, Q
+        self.tables = tuple(_adjoint_tables(P, Q))
+        self.memo = [0] * len(self.tables)
+
+    def holds(self, law_id: str, f, g, k: Optional[int]) -> bool:
+        """Whether a law holds on the connection (f, g): P -> Q, decided once if it is case k."""
+        if k is None:
+            return _first_failure(LAW_TABLE[law_id], self.P, self.Q, f, g) is None
+        shift = _MEMO_SHIFT[law_id]
+        bits = self.memo[k] >> shift & 3
+        if not bits:
+            bits = 3 if _first_failure(LAW_TABLE[law_id], self.P, self.Q, f, g) is None else 1
+            self.memo[k] |= bits << shift
+        return bits == 3
+
+
+_MEMO_SHIFT = {law_id: 2 * i for i, law_id in enumerate(LAW_IDS)}
+
+
+# The suites re-read pairs, so each pair is walked once, behind this cache,
+# and its verdicts are kept with its tables.  They are the verdicts of the
+# kernels in LAW_TABLE when first read.  Search walks each pair's tables
+# once and keeps nothing.
 @lru_cache(maxsize=None)
-def _adjoint_connections(P, Q):
-    return tuple(enumerate_adjoint_connections(P, Q))
+def _adjoint_connections(P, Q) -> _Pair:
+    return _Pair(P, Q)
 
 
-def _left_connections(P, Q):
-    """Every left adjoint connection P -> Q, one per monotone map."""
-    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
+# The connections a theorem visits on a pair, each as (f, g, k): the value
+# tables of its left and right adjoint (None where absent) and, when both
+# exist, its case k among the pair's adjoint connections.
+def _adjoint_cases(pair: _Pair):
+    """Every adjoint connection P -> Q."""
+    return ((f, g, k) for k, (f, g) in enumerate(pair.tables))
 
 
-def _right_connections(P, Q):
-    """Every right adjoint connection P -> Q, one per monotone map."""
-    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
+def _left_cases(pair: _Pair):
+    """Every left adjoint connection P -> Q, one per monotone map.
+
+    The maps with a right adjoint are the pair's adjoint connections, in
+    the same order.
+    """
+    right, k = _right_adjoints(pair.P, pair.Q), 0
+    for m in monotone_maps(pair.P, pair.Q):
+        g = right(m.values)
+        if g is None:
+            yield m.values, None, None
+        else:
+            yield m.values, g, k
+            k += 1
 
 
-def _pairs(connections, lattices):
-    """Per ordered pair (P, Q) of ``lattices``, in order, the connections P -> Q."""
-    for P in lattices:
-        for Q in lattices:
-            yield connections(P, Q)
+def _right_cases(pair: _Pair):
+    """Every right adjoint connection P -> Q, one per monotone map Q -> P.
+
+    The maps with a left adjoint are the pair's adjoint connections, ordered
+    by their right adjoints.
+    """
+    P, Q, tables = pair.P, pair.Q, pair.tables
+    left = _right_adjoints(Q.op, P.op)
+    by_right = iter(sorted(range(len(tables)), key=lambda k: tables[k][1]))
+    for m in monotone_maps(Q, P):
+        f = left(m.values)
+        yield f, m.values, None if f is None else next(by_right)
 
 
 # theorem -> (connections its suite visits, hypotheses, chain of laws that
 # must agree wherever none of them is skipped)
 THEOREMS = {
     # LM1/LM2/LM3 agree, and LM0 joins the chain when P has a top.
-    "lm": (_adjoint_connections, (), ("LM1", "LM2", "LM3", "LM0")),
+    "lm": (_adjoint_cases, (), ("LM1", "LM2", "LM3", "LM0")),
     # RM1/RM2/RM3 agree, and RM0 joins the chain when Q has a bottom.
-    "rm": (_adjoint_connections, (), ("RM1", "RM2", "RM3", "RM0")),
-    "rm045": (_adjoint_connections, ("joinsP", "botQ"), ("RM0", "RM4", "RM5")),
-    "lm045": (_adjoint_connections, ("topP", "meetsQ"), ("LM0", "LM4", "LM5")),
+    "rm": (_adjoint_cases, (), ("RM1", "RM2", "RM3", "RM0")),
+    "rm045": (_adjoint_cases, ("joinsP", "botQ"), ("RM0", "RM4", "RM5")),
+    "lm045": (_adjoint_cases, ("topP", "meetsQ"), ("LM0", "LM4", "LM5")),
     # LF1/LF2 agree on any left adjoint; LF0 joins when both adjoints and meets exist.
-    "lf": (_left_connections, ("left",), ("LF1", "LF2", "LF0")),
+    "lf": (_left_cases, ("left",), ("LF1", "LF2", "LF0")),
     # RF1/RF2 agree on any right adjoint; RF0 joins when both adjoints and joins exist.
-    "rf": (_right_connections, ("right",), ("RF1", "RF2", "RF0")),
+    "rf": (_right_cases, ("right",), ("RF1", "RF2", "RF0")),
 }
 
 
@@ -908,64 +984,143 @@ class SuiteResult:
         return [head, *self.details]
 
 
-def _describe(ac: AdjointConnection) -> str:
-    left = ac.left.values if ac.left is not None else None
-    right = ac.right.values if ac.right is not None else None
-    return f"P={ac.source.name} Q={ac.target.name} left={left} right={right}"
+def _describe(P, Q, f, g) -> str:
+    return f"P={P.name} Q={Q.name} left={f} right={g}"
 
 
-def _vector(rep: EquivalenceReport) -> str:
-    return " ".join(f"{law}={holds}" for law, holds in rep.truth_vector())
+def _skipped(law_ids, P, Q, left=True, right=True) -> bool:
+    """Whether P -> Q, with or without each adjoint, misses a hypothesis of one of the laws."""
+    return any(
+        _missing_structure(LAW_TABLE[law_id].requires, P, Q, left, right) is not None
+        for law_id in law_ids
+    )
 
 
-def _inconsistent(theorem: str, ac: AdjointConnection) -> tuple[str, ...]:
-    rep = verify_theorem(theorem, ac)
-    return () if rep.consistent else (f"{_describe(ac)} {_vector(rep)}",)
+def _rendered_witness(law_id, P, Q, f, g) -> str:
+    """The witness of a law that fails on (f, g), as its report prints it."""
+    law = LAW_TABLE[law_id]
+    return _witness(law, P, Q, *_first_failure(law, P, Q, f, g)).render()
 
 
-def _violated(legs, checks) -> list[str]:
-    """A line per failed check, naming the connections ``legs`` it read."""
-    return [
-        f"{' ; '.join(map(_describe, legs))} {chk.name}: {chk.detail}" for chk in checks if not chk.ok
-    ]
+# The failure lines of each case of a unit, one tuple or list per case.
+
+
+def _chain_lines(theorem: str, P, Q):
+    """The chain's truth vector, when its laws disagree on a connection the theorem visits."""
+    cases, requires, chain = THEOREMS[theorem]
+    pair = _adjoint_connections(P, Q)
+    # per presence of (left, right): whether the theorem, and each law, is skipped
+    skips = {
+        adjoints: (
+            _missing_structure(requires, P, Q, *adjoints) is not None,
+            [_skipped((law_id,), P, Q, *adjoints) for law_id in chain],
+        )
+        for adjoints in ((True, True), (True, False), (False, True))
+    }
+    for f, g, k in cases(pair):
+        skipped, law_skipped = skips[f is not None, g is not None]
+        values = () if skipped else [
+            None if skip else pair.holds(law_id, f, g, k)
+            for law_id, skip in zip(chain, law_skipped)
+        ]
+        if True in values and False in values:
+            vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(chain, values))
+            yield (f"{_describe(P, Q, f, g)} {vector}",)
+        else:
+            yield ()
+
+
+# derivation -> (its antecedent, its consequent)
+_DERIVATIONS = {"RF0=>RM0": ("RF0", "RM0"), "LF0=>LM0": ("LF0", "LM0")}
+
+
+def _derivation_lines(P, Q):
+    """Each derivation whose antecedent holds and consequent fails, with the latter's witness."""
+    pair = _adjoint_connections(P, Q)
+    checks = [(name, laws) for name, laws in _DERIVATIONS.items() if not _skipped(laws, P, Q)]
+    for k, (f, g) in enumerate(pair.tables):
+        yield [
+            f"{_describe(P, Q, f, g)} {name}: {_rendered_witness(consequent, P, Q, f, g)}"
+            for name, (antecedent, consequent) in checks
+            if pair.holds(antecedent, f, g, k) and not pair.holds(consequent, f, g, k)
+        ]
+
+
+def _modularity_lines(P, Q):
+    """Each modularity biconditional, under its hypothesis, whose two sides disagree."""
+    pair = _adjoint_connections(P, Q)
+    forms = []
+    if P.is_lattice and P.is_bounded and Q.is_lattice and Q.is_bounded:
+        if P.is_modular:
+            forms.append(("LM0<=>LF0[P modular]", ("LM0",), ("LF0",)))
+        if Q.is_modular:
+            forms.append(("RM0<=>RF0[Q modular]", ("RM0",), ("RF0",)))
+        if P.is_modular and Q.is_modular:
+            forms.append(("LM0&RM0<=>LF0&RF0[both modular]", ("LM0", "RM0"), ("LF0", "RF0")))
+    forms = [(name, lhs, lhs + rhs) for name, lhs, rhs in forms if not _skipped(lhs + rhs, P, Q)]
+    for k, (f, g) in enumerate(pair.tables):
+        lines = []
+        for name, lhs, laws in forms:
+            values = [pair.holds(law_id, f, g, k) for law_id in laws]
+            if all(values[:len(lhs)]) != all(values[len(lhs):]):
+                vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(laws, values))
+                lines.append(f"{_describe(P, Q, f, g)} {name}: {vector}")
+        yield lines
 
 
 def _composable(lattices):
-    """Per triple P -> Q -> S with adjoint connections on both legs, its cases (r, s, law)."""
+    """Each triple P -> Q -> S with adjoint connections on both legs."""
     for P in lattices:
         for Q in lattices:
-            first = _adjoint_connections(P, Q)
-            if not first:
+            if not _adjoint_connections(P, Q).tables:
                 continue
             for S in lattices:
-                second = _adjoint_connections(Q, S)
-                if second:
-                    yield product(first, second, ("LF0", "RF0"))
+                if _adjoint_connections(Q, S).tables:
+                    yield P, Q, S
 
 
-# suite -> (the lattices it visits, the cases of each unit it walks over
-# them, the failure lines of one case).  A unit is an ordered pair (P, Q)
-# whose cases are its connections, except in composition.
+def _composition_lines(P, Q, S):
+    """Per case (r, s, law): a law that holds on both legs but fails on their composite.
+
+    The composite's tables are read through the legs' tables and checked
+    by unit and counit, as an AdjointConnection is, once a law needs them.
+    """
+    first, second = _adjoint_connections(P, Q), _adjoint_connections(Q, S)
+    laws = [
+        (law_id, _skipped((law_id,), P, Q) or _skipped((law_id,), Q, S), _skipped((law_id,), P, S))
+        for law_id in ("LF0", "RF0")
+    ]
+    for i, (fr, gr) in enumerate(first.tables):
+        for j, (fs, gs) in enumerate(second.tables):
+            composite = None
+            for law_id, legs_skipped, skipped in laws:
+                if legs_skipped or not (
+                    first.holds(law_id, fr, gr, i) and second.holds(law_id, fs, gs, j)
+                ):
+                    yield ()
+                    continue
+                if composite is None:
+                    composite = tuple(map(fs.__getitem__, fr)), tuple(map(gr.__getitem__, gs))
+                    _check_adjoint(P, S, *composite)
+                if skipped or _first_failure(LAW_TABLE[law_id], P, S, *composite) is None:
+                    yield ()
+                else:
+                    witness = _rendered_witness(law_id, P, S, *composite)
+                    legs = f"{_describe(P, Q, fr, gr)} ; {_describe(Q, S, fs, gs)}"
+                    yield (f"{legs} {law_id} stable under composition: {witness}",)
+
+
+# suite -> (the lattices it visits, its units over them, the failure lines
+# of each case of a unit).  A unit is an ordered pair (P, Q), whose cases
+# are the connections the suite visits, except in composition.
 SUITES = {
     **{
-        name: (lambda L: True, partial(_pairs, connections), partial(_inconsistent, name))
-        for name, (connections, _, _) in THEOREMS.items()
+        name: (lambda L: True, partial(product, repeat=2), partial(_chain_lines, name))
+        for name in THEOREMS
     },
-    "derivations": (
-        lambda L: True,
-        partial(_pairs, _adjoint_connections),
-        lambda ac: _violated((ac,), verify_derivations(ac)),
-    ),
-    "modularity": (
-        lambda L: True,
-        partial(_pairs, _adjoint_connections),
-        lambda ac: _violated((ac,), verify_modularity_refinements(ac)),
-    ),
-    "composition": (
-        lambda L: L.size <= 4,
-        _composable,
-        lambda case: _violated(case[:2], (verify_composition_stability(*case),)),
-    ),
+    "derivations": (lambda L: True, partial(product, repeat=2), _derivation_lines),
+    "modularity": (lambda L: True, partial(product, repeat=2), _modularity_lines),
+    "composition": (lambda L: L.size <= 4, _composable, _composition_lines),
 }
 SUITE_ORDER = tuple(SUITES)
 
@@ -981,8 +1136,8 @@ def run_suite(name: str, lattices: Sequence[FiniteLattice]) -> SuiteResult:
     details = []
     for unit in units(lattices):
         pairs += 1
-        for case in unit:
+        for lines in failures(*unit):
             cases += 1
-            for line in failures(case):
-                details.append(f"disagree {name} {line}")
+            if lines:
+                details.extend(f"disagree {name} {line}" for line in lines)
     return SuiteResult(name, len(lattices), pairs, cases, len(details), tuple(details))

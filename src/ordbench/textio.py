@@ -23,7 +23,10 @@ from .quantale import MAX_DIVISORS, Quantale, build_quantale
 
 # Input bounds, checked before any table is built.  A poset block may declare
 # as many elements as the largest divisor lattice `quantale --zn` accepts; a
-# file of that size with a full quantale table is a few MB.
+# file of that size with a full quantale table is a few MB.  Building and
+# checking a poset of n elements scans n**3 triples, so the poset blocks of
+# one file may sum to at most MAX_ELEMENTS**3 of them: one block of the
+# largest size.
 MAX_ELEMENTS = MAX_DIVISORS
 MAX_FILE_BYTES = 16 << 20
 
@@ -77,6 +80,7 @@ class _Parser:
         self.filename = filename
         self.doc = Document()
         self.block = None
+        self.triples = 0  # n**3 summed over the poset blocks built so far
 
     def fail(self, line: int, message: str):
         raise ParseError(self.filename, line, message)
@@ -150,6 +154,11 @@ class _Parser:
         if block.kind == "poset":
             if not block.labels:
                 self.fail(lineno, f"poset {name!r} has no elements")
+            self.triples += len(block.labels) ** 3
+            if self.triples > MAX_ELEMENTS**3:
+                self.fail(
+                    lineno, f"poset {name!r} takes the file past {MAX_ELEMENTS}^3 element triples"
+                )
             try:
                 built = build_poset(name, block.labels, block.pairs)
             except OrdbenchError as exc:

@@ -1,17 +1,23 @@
 """Brute-force oracles shared by the test modules."""
 
+from functools import lru_cache, partial
+from itertools import product
 from types import SimpleNamespace
 
 from ordbench import (
     Connection,
     NotMonotone,
     SizeBoundExceeded,
+    UnknownSuite,
     catalog,
     enumerate_adjoint_connections,
+    left_adjoint_connection,
+    monotone_maps,
     parse_predicate,
+    right_adjoint_connection,
 )
 from ordbench import laws, posetgen
-from ordbench.laws import LAW_TABLE, FoundCase, SearchResult, _operands
+from ordbench.laws import LAW_TABLE, FoundCase, SearchResult, SuiteResult, _operands
 
 
 def enumerate_connections(P, Q):
@@ -250,3 +256,120 @@ def eager_search(predicate, max_size, *, modular_only=False, include_generated=F
                         )
                         return SearchResult(found, cases)
     return SearchResult(None, cases)
+
+
+# ---------------------------------------------------------------------------
+# The verify suites on objects: the oracle of ``laws.run_suite``.  Each case
+# is an AdjointConnection and each law an ``eval_law`` report, read through
+# the public verifiers; every failure line is rendered from those objects.
+
+
+@lru_cache(maxsize=None)
+def _adjoint_connections(P, Q):
+    return tuple(enumerate_adjoint_connections(P, Q))
+
+
+def _left_connections(P, Q):
+    """Every left adjoint connection P -> Q, one per monotone map."""
+    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
+
+
+def _right_connections(P, Q):
+    """Every right adjoint connection P -> Q, one per monotone map."""
+    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
+
+
+def _pairs(connections, lattices):
+    """Per ordered pair (P, Q) of ``lattices``, in order, the connections P -> Q."""
+    for P in lattices:
+        for Q in lattices:
+            yield connections(P, Q)
+
+
+# theorem -> the connections its suite visits for each ordered pair
+THEOREM_CONNECTIONS = {
+    "lm": _adjoint_connections,
+    "rm": _adjoint_connections,
+    "rm045": _adjoint_connections,
+    "lm045": _adjoint_connections,
+    "lf": _left_connections,
+    "rf": _right_connections,
+}
+
+
+def _describe(ac):
+    left = ac.left.values if ac.left is not None else None
+    right = ac.right.values if ac.right is not None else None
+    return f"P={ac.source.name} Q={ac.target.name} left={left} right={right}"
+
+
+def _vector(rep):
+    return " ".join(f"{law}={holds}" for law, holds in rep.truth_vector())
+
+
+def _inconsistent(theorem, ac):
+    rep = laws.verify_theorem(theorem, ac)
+    return () if rep.consistent else (f"{_describe(ac)} {_vector(rep)}",)
+
+
+def _violated(legs, checks):
+    """A line per failed check, naming the connections ``legs`` it read."""
+    return [
+        f"{' ; '.join(map(_describe, legs))} {chk.name}: {chk.detail}" for chk in checks if not chk.ok
+    ]
+
+
+def _composable(lattices):
+    """Per triple P -> Q -> S with adjoint connections on both legs, its cases (r, s, law)."""
+    for P in lattices:
+        for Q in lattices:
+            first = _adjoint_connections(P, Q)
+            if not first:
+                continue
+            for S in lattices:
+                second = _adjoint_connections(Q, S)
+                if second:
+                    yield product(first, second, ("LF0", "RF0"))
+
+
+# suite -> (the lattices it visits, the cases of each unit it walks over
+# them, the failure lines of one case)
+ORACLE_SUITES = {
+    **{
+        name: (lambda L: True, partial(_pairs, connections), partial(_inconsistent, name))
+        for name, connections in THEOREM_CONNECTIONS.items()
+    },
+    "derivations": (
+        lambda L: True,
+        partial(_pairs, _adjoint_connections),
+        lambda ac: _violated((ac,), laws.verify_derivations(ac)),
+    ),
+    "modularity": (
+        lambda L: True,
+        partial(_pairs, _adjoint_connections),
+        lambda ac: _violated((ac,), laws.verify_modularity_refinements(ac)),
+    ),
+    "composition": (
+        lambda L: L.size <= 4,
+        _composable,
+        lambda case: _violated(case[:2], (laws.verify_composition_stability(*case),)),
+    ),
+}
+
+
+def oracle_run_suite(name, lattices):
+    """Run one suite on objects: its units count as pairs, and each failure line as a disagreement."""
+    try:
+        visits, units, failures = ORACLE_SUITES[name]
+    except KeyError:
+        raise UnknownSuite(f"unknown suite {name!r}") from None
+    lattices = [L for L in lattices if visits(L)]
+    pairs = cases = 0
+    details = []
+    for unit in units(lattices):
+        pairs += 1
+        for case in unit:
+            cases += 1
+            for line in failures(case):
+                details.append(f"disagree {name} {line}")
+    return SuiteResult(name, len(lattices), pairs, cases, len(details), tuple(details))

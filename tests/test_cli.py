@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ordbench import LAW_IDS
 from ordbench.cli import run
 from ordbench.quantale import MAX_DIVISORS
-from ordbench.textio import MAX_FILE_BYTES
+from ordbench.textio import MAX_ELEMENTS, MAX_FILE_BYTES
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -79,6 +79,73 @@ def test_laws_without_conn_block_is_an_input_error(capsys):
 def test_quantale_without_quantale_block_is_an_input_error(capsys):
     code, out, err = invoke(capsys, "quantale", str(DATA / "idC3.conn"), "--principal")
     assert (code, out, err) == (2, "", f"error: {DATA / 'idC3.conn'}: no quantale block\n")
+
+
+def test_check_without_any_block_is_an_input_error(capsys, tmp_path):
+    empty, comment = tmp_path / "empty.txt", tmp_path / "comment.txt"
+    empty.write_text("")
+    comment.write_text("# a comment and a blank line\n\n")
+    for path in (empty, comment):
+        assert invoke(capsys, "check", str(path)) == (2, "", f"error: {path}: no block\n")
+
+
+# check's report on every file in tests/data: (exit status, stdout, stderr)
+CHECK_DATA = {
+    "absent.conn": (0, (
+        "poset C2: elements=2 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "poset V: elements=3 lattice=no bounded=no modular=no distributive=no\n"
+        "conn up: V -> C2 connection=yes\n"
+        "conn down: C2 -> V connection=yes\n"
+    ), ""),
+    "bad_conn.conn": (2, "", (
+        "error: {path}:5: connection 'broken' violates weakening: "
+        "1 <= 1 rel 0 <= 1 requires rel 1 1\n"
+    )),
+    "bad_cycle.poset": (2, "", "error: {path}:1: loop: elements '0' and '1' lie on a cycle\n"),
+    "frame3.q": (0, (
+        "poset F3: elements=3 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "quantale FrameF3: over=F3 unit=top integral=yes\n"
+    ), ""),
+    "idC3.conn": (0, (
+        "poset C3: elements=3 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "conn idC3: C3 -> C3 connection=yes\n"
+    ), ""),
+    "mulm.conn": (0, (
+        "poset F3: elements=3 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "conn mulm: F3 -> F3 connection=yes\n"
+    ), ""),
+    "zoo.txt": (0, (
+        "poset C2: elements=2 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "poset V: elements=3 lattice=no bounded=no modular=no distributive=no\n"
+        "map drop: C2 -> C2 monotone=yes\n"
+        "conn idC2: C2 -> C2 connection=yes\n"
+        "quantale QC2: over=C2 unit=1 integral=yes\n"
+    ), ""),
+}
+
+
+def test_check_every_data_file(capsys):
+    assert sorted(CHECK_DATA) == sorted(p.name for p in DATA.iterdir())
+    for name, (code, out, err) in CHECK_DATA.items():
+        path = DATA / name
+        assert invoke(capsys, "check", str(path)) == (code, out, err.format(path=path)), name
+
+
+def test_check_bounds_the_work_of_a_whole_file(capsys, tmp_path):
+    """One largest poset block fits the file's n**3 budget; a second one exits 2 at once."""
+    antichain = "".join(f"elem a{i}\n" for i in range(MAX_ELEMENTS))
+    one, two = tmp_path / "one.poset", tmp_path / "two.poset"
+    one.write_text("poset A\n" + antichain)
+    two.write_text("poset A\n" + antichain + "poset B\n" + antichain)
+    code, out, err = invoke(capsys, "check", str(one))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"poset A: elements={MAX_ELEMENTS} lattice=no")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "check", str(two))
+    assert time.perf_counter() - start < 0.5
+    line = MAX_ELEMENTS + 2
+    message = f"{two}:{line}: poset 'B' takes the file past {MAX_ELEMENTS}^3 element triples"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_adjoints_identity(capsys):

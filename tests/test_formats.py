@@ -295,6 +295,24 @@ def test_poset_blocks_hold_at_most_the_divisor_bound():
     assert (info.value.line, info.value.message) == (1, "poset 'A' has more than 240 elements")
 
 
+def test_files_hold_at_most_one_largest_block_of_triples():
+    # n**3 summed over a file's poset blocks is bounded by MAX_ELEMENTS**3:
+    # 239**3 + 55**3 fits within 240**3, and 239**3 + 56**3 does not
+    def second(n):
+        return "poset B\nelem " + " ".join(f"b{i}" for i in range(n)) + "\n"
+
+    assert parse_text(antichain(MAX_ELEMENTS - 1) + second(55)).posets["B"].size == 55
+    for text, line in (
+        (antichain(MAX_ELEMENTS - 1) + second(56), MAX_ELEMENTS + 1),
+        (antichain(MAX_ELEMENTS) + second(1), MAX_ELEMENTS + 2),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_text(text)
+        assert (info.value.line, info.value.message) == (
+            line, "poset 'B' takes the file past 240^3 element triples",
+        )
+
+
 def test_files_hold_at_most_the_byte_bound(tmp_path):
     path = tmp_path / "long.txt"
     path.write_bytes(b"#" * MAX_FILE_BYTES)
