@@ -2,7 +2,7 @@
 
 Finite posets and lattices, connections (weakening relations) with their
 left/right adjoints, the modular-connection and reciprocity law families
-with exhaustive theorem verifiers, commutative quantales with principal
+with exhaustive verify suites, commutative quantales with principal
 element detection, and a deterministic CLI.
 """
 
@@ -32,7 +32,6 @@ from .errors import (
     UnknownLaw,
     UnknownSuite,
     UnreadableFile,
-    UnsupportedLaw,
 )
 from .lattice import (
     ElementView,
@@ -72,8 +71,6 @@ from .laws import (
     LAW_IDS,
     SUITE_ORDER,
     THEOREMS,
-    EquivalenceReport,
-    ImplicationCheck,
     LawReport,
     Predicate,
     SearchResult,
@@ -84,10 +81,6 @@ from .laws import (
     recheck_witness,
     run_suite,
     search_counterexample,
-    verify_composition_stability,
-    verify_derivations,
-    verify_modularity_refinements,
-    verify_theorem,
 )
 from .posetgen import generated_lattices
 from .quantale import (

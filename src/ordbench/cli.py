@@ -236,7 +236,11 @@ def _discard_stdout() -> None:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
         return  # not a descriptor: nothing is flushed to it at exit
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def main() -> None:

@@ -53,10 +53,6 @@ class UnknownLaw(OrdbenchError, ValueError):
     """A law identifier that is not in the law table."""
 
 
-class UnsupportedLaw(OrdbenchError, ValueError):
-    """A known law that the requested check is not stated for."""
-
-
 class PredicateSyntaxError(OrdbenchError, ValueError):
     """A search predicate that does not parse."""
 

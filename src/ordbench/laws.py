@@ -15,13 +15,13 @@ hypotheses are missing (a missing adjoint, no top, no binary meets, ...)
 is reported as *skipped*, never silently true or false.  LF1/LF2 need only
 a left adjoint and RF1/RF2 only a right adjoint; every other law needs the
 full adjoint pair.  ``THEOREMS`` lists, per theorem, the connections its
-suite visits, its hypotheses and the chain of laws it asserts equivalent;
-``verify_theorem`` evaluates one chain on one connection.  The other checks
-go through one implication evaluator and one biconditional evaluator.
+suite visits, its hypotheses and the chain of laws it asserts equivalent.
 ``SUITES`` lists all nine suites, each as the lattices it visits, its units
 (an ordered pair, or a composable triple) and the failure lines of each case
 of a unit; ``run_suite`` is the one loop over them, and the counterexample
-search walks the same pairs.
+search walks the same pairs.  Each suite is stated once, by its line
+function: ``_chain_lines`` for the six theorems, then ``_derivation_lines``,
+``_modularity_lines`` and ``_composition_lines``.
 
 The suites walk value tables, as search does.  A case is the tables (f, g)
 of a connection: one of the pair's adjoint connections, or for lf and rf a
@@ -31,8 +31,8 @@ through ``_first_failure``.  The verdicts on a pair's adjoint connections
 are kept beside their tables, two bits per law in one int per connection,
 so a law that several suites read, or that a composition leg reads, is
 decided once.  A witness is built only for a line that is printed, and no
-report or AdjointConnection at all; the tests keep the suites on objects,
-through ``eval_law`` and the ``verify_*`` functions, as their oracle.
+report or AdjointConnection at all; the tests state the suites again on
+AdjointConnections and ``eval_law`` reports, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
@@ -60,23 +60,10 @@ from itertools import compress, product, repeat
 from operator import or_
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    PredicateSyntaxError,
-    SizeBoundExceeded,
-    SourceTargetMismatch,
-    UnknownLaw,
-    UnknownSuite,
-    UnsupportedLaw,
-)
+from .errors import PredicateSyntaxError, SizeBoundExceeded, UnknownLaw, UnknownSuite
 from . import posetgen
 from .lattice import FiniteLattice, MonotoneMap, catalog, monotone_maps
-from .connection import (
-    AdjointConnection,
-    _adjoint_tables,
-    _check_adjoint,
-    _right_adjoints,
-    compose_adjoint,
-)
+from .connection import AdjointConnection, _adjoint_tables, _check_adjoint, _right_adjoints
 
 LAW_IDS = (
     "LM0", "LM1", "LM2", "LM3", "LM4", "LM5",
@@ -537,37 +524,7 @@ def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
 
 
 # ---------------------------------------------------------------------------
-# Theorem verifiers
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Truth values of a chain of laws that a theorem asserts are equivalent."""
-
-    theorem: str
-    reports: tuple[LawReport, ...]
-    skipped: Optional[str] = None
-
-    @property
-    def consistent(self) -> bool:
-        values = {r.holds for r in self.reports if r.holds is not None}
-        return len(values) <= 1
-
-    def truth_vector(self) -> tuple[tuple[str, Optional[bool]], ...]:
-        return tuple((r.law, r.holds) for r in self.reports)
-
-
-@dataclass(frozen=True)
-class ImplicationCheck:
-    """Outcome of a single conditional assertion on one connection."""
-
-    name: str
-    status: str  # "holds" | "vacuous" | "agree" | "disagree" | "violated" | "skipped"
-    detail: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status not in ("disagree", "violated")
+# Theorems, and the connections of a pair with their verdicts
 
 
 class _Pair:
@@ -656,110 +613,10 @@ THEOREMS = {
     "rm045": (_adjoint_cases, ("joinsP", "botQ"), ("RM0", "RM4", "RM5")),
     "lm045": (_adjoint_cases, ("topP", "meetsQ"), ("LM0", "LM4", "LM5")),
     # LF1/LF2 agree on any left adjoint; LF0 joins when both adjoints and meets exist.
-    "lf": (_left_cases, ("left",), ("LF1", "LF2", "LF0")),
+    "lf": (_left_cases, (), ("LF1", "LF2", "LF0")),
     # RF1/RF2 agree on any right adjoint; RF0 joins when both adjoints and joins exist.
-    "rf": (_right_cases, ("right",), ("RF1", "RF2", "RF0")),
+    "rf": (_right_cases, (), ("RF1", "RF2", "RF0")),
 }
-
-
-def verify_theorem(name: str, ac: AdjointConnection) -> EquivalenceReport:
-    """The truth values of theorem ``name``'s chain of laws on one connection.
-
-    A connection that misses one of the theorem's hypotheses gives a skipped
-    report with no law evaluated.
-    """
-    try:
-        _, requires, laws = THEOREMS[name]
-    except KeyError:
-        raise UnknownSuite(f"unknown theorem {name!r}") from None
-    P, Q, f, g = _tables(ac)
-    reason = _missing_structure(requires, P, Q, f is not None, g is not None)
-    if reason is not None:
-        return EquivalenceReport(name, (), skipped=reason)
-    return EquivalenceReport(name, tuple(eval_law(law_id, ac) for law_id in laws))
-
-
-def _first_skip(reports) -> Optional[str]:
-    return next((r.skipped for r in reports if r.skipped is not None), None)
-
-
-def _implication(name, antecedents, consequent) -> ImplicationCheck:
-    """The conjunction of the ``antecedents`` reports implies ``consequent()``.
-
-    The consequent is a thunk, evaluated only when every antecedent holds.
-    """
-    skipped = _first_skip(antecedents)
-    if skipped is not None:
-        return ImplicationCheck(name, "skipped", skipped)
-    if not all(a.holds for a in antecedents):
-        return ImplicationCheck(name, "vacuous")
-    c = consequent()
-    if c.skipped is not None:
-        return ImplicationCheck(name, "skipped", c.skipped)
-    if c.holds:
-        return ImplicationCheck(name, "holds")
-    return ImplicationCheck(name, "violated", c.witness.render())
-
-
-def verify_derivations(ac: AdjointConnection) -> tuple[ImplicationCheck, ImplicationCheck]:
-    """RF0 implies RM0 and LF0 implies LM0 (never the converses)."""
-    return (
-        _implication("RF0=>RM0", (eval_law("RF0", ac),), lambda: eval_law("RM0", ac)),
-        _implication("LF0=>LM0", (eval_law("LF0", ac),), lambda: eval_law("LM0", ac)),
-    )
-
-
-def _biconditional(lhs, rhs, name) -> ImplicationCheck:
-    """The conjunction of the ``lhs`` reports is equivalent to that of ``rhs``."""
-    reports = (*lhs, *rhs)
-    skipped = _first_skip(reports)
-    if skipped is not None:
-        return ImplicationCheck(name, "skipped", skipped)
-    if all(r.holds for r in lhs) == all(r.holds for r in rhs):
-        return ImplicationCheck(name, "agree")
-    return ImplicationCheck(name, "disagree", " ".join(f"{r.law}={r.holds}" for r in reports))
-
-
-def verify_modularity_refinements(ac: AdjointConnection) -> tuple[ImplicationCheck, ...]:
-    """Check the modularity refinements, each only under its hypothesis.
-
-    On modular P the check reports the literal biconditional LM0 iff LF0,
-    and on modular Q the literal RM0 iff RF0.  These one-sided forms are not
-    theorems: they admit counterexamples even between distributive lattices,
-    and they hold once the other modular-connection law is added as a
-    hypothesis (RM0 for the P side, LM0 for the Q side).  With both P and Q
-    modular, the check that LM0 and RM0 together are equivalent to LF0 and
-    RF0 together is the theorem; it reads the four reports the two
-    biconditionals computed, so each law is evaluated at most once.
-    """
-    P, Q = ac.source, ac.target
-    if not (P.is_lattice and P.is_bounded and Q.is_lattice and Q.is_bounded):
-        return (ImplicationCheck("modularity", "skipped", "P and Q must be bounded lattices"),)
-    checks = []
-    if P.is_modular:
-        lm0, lf0 = eval_law("LM0", ac), eval_law("LF0", ac)
-        checks.append(_biconditional((lm0,), (lf0,), "LM0<=>LF0[P modular]"))
-    if Q.is_modular:
-        rm0, rf0 = eval_law("RM0", ac), eval_law("RF0", ac)
-        checks.append(_biconditional((rm0,), (rf0,), "RM0<=>RF0[Q modular]"))
-    if P.is_modular and Q.is_modular:
-        checks.append(_biconditional((lm0, rm0), (lf0, rf0), "LM0&RM0<=>LF0&RF0[both modular]"))
-    if not checks:
-        checks.append(ImplicationCheck("modularity", "skipped", "neither poset is modular"))
-    return tuple(checks)
-
-
-def verify_composition_stability(r: AdjointConnection, s: AdjointConnection, law_id: str) -> ImplicationCheck:
-    """law(r) and law(s) imply law(compose(r, s)), for LF0 or RF0."""
-    if law_id not in ("LF0", "RF0"):
-        raise UnsupportedLaw("composition stability is asserted for LF0 and RF0 only")
-    if r.target != s.source:
-        raise SourceTargetMismatch("connections are not composable")
-    return _implication(
-        f"{law_id} stable under composition",
-        (eval_law(law_id, r), eval_law(law_id, s)),
-        lambda: eval_law(law_id, compose_adjoint(r, s)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1009,19 +866,16 @@ def _chain_lines(theorem: str, P, Q):
     """The chain's truth vector, when its laws disagree on a connection the theorem visits."""
     cases, requires, chain = THEOREMS[theorem]
     pair = _adjoint_connections(P, Q)
-    # per presence of (left, right): whether the theorem, and each law, is skipped
+    skipped = _missing_structure(requires, P, Q) is not None
+    # per presence of (left, right): whether each law is skipped
     skips = {
-        adjoints: (
-            _missing_structure(requires, P, Q, *adjoints) is not None,
-            [_skipped((law_id,), P, Q, *adjoints) for law_id in chain],
-        )
+        adjoints: [_skipped((law_id,), P, Q, *adjoints) for law_id in chain]
         for adjoints in ((True, True), (True, False), (False, True))
     }
     for f, g, k in cases(pair):
-        skipped, law_skipped = skips[f is not None, g is not None]
         values = () if skipped else [
             None if skip else pair.holds(law_id, f, g, k)
-            for law_id, skip in zip(chain, law_skipped)
+            for law_id, skip in zip(chain, skips[f is not None, g is not None])
         ]
         if True in values and False in values:
             vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(chain, values))

@@ -13,6 +13,7 @@ are literal, and ``...`` takes any number of tokens.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,9 +25,10 @@ from .quantale import MAX_DIVISORS, Quantale, build_quantale
 # Input bounds, checked before any table is built.  A poset block may declare
 # as many elements as the largest divisor lattice `quantale --zn` accepts; a
 # file of that size with a full quantale table is a few MB.  Building and
-# checking a poset of n elements scans n**3 triples, so the poset blocks of
-# one file may sum to at most MAX_ELEMENTS**3 of them: one block of the
-# largest size.
+# checking a poset of n elements scans n**3 triples, checking a connection
+# between posets of n and m elements n*m*max(n, m), and checking a quantale
+# over n elements n**3.  The blocks of each of these kinds in one file may sum
+# to at most MAX_ELEMENTS**3 triples: one block of the largest size.
 MAX_ELEMENTS = MAX_DIVISORS
 MAX_FILE_BYTES = 16 << 20
 
@@ -56,6 +58,11 @@ _LINES = {
     "mul": ("quantale", "<labelA> <labelB> <labelC>"),
 }
 _POSET_TOKENS = {"<sourcePoset>", "<targetPoset>", "<posetName>"}
+# header -> the element triples its block's check scans, from the posets it names
+_TRIPLES = {
+    "conn": lambda src, dst: src.size * dst.size * max(src.size, dst.size),
+    "quantale": lambda base: base.size**3,
+}
 # label placeholder -> (which of the header's posets it names, error word);
 # in a poset block it names one of the block's own labels
 _LABEL_TOKENS = {
@@ -80,10 +87,20 @@ class _Parser:
         self.filename = filename
         self.doc = Document()
         self.block = None
-        self.triples = 0  # n**3 summed over the poset blocks built so far
+        self.triples = Counter()  # per kind, element triples summed over its blocks so far
 
     def fail(self, line: int, message: str):
         raise ParseError(self.filename, line, message)
+
+    def count(self, block: _Block, triples: int):
+        """Add a block's element triples to its kind's sum, which may not pass MAX_ELEMENTS**3."""
+        self.triples[block.kind] += triples
+        if self.triples[block.kind] > MAX_ELEMENTS**3:
+            self.fail(
+                block.line,
+                f"{_HEADERS[block.kind][1]} {block.name!r} takes the file past "
+                f"{MAX_ELEMENTS}^3 element triples",
+            )
 
     def feed(self, lineno: int, tokens: list[str]):
         head, args = tokens[0], tokens[1:]
@@ -110,6 +127,8 @@ class _Parser:
                     self.fail(lineno, f"unknown poset {a!r}")
             posets = tuple(self.doc.posets[a] for w, a in zip(words, args) if w in _POSET_TOKENS)
             self.block = _Block(head, args[0], lineno, posets)
+            if head in _TRIPLES:
+                self.count(self.block, _TRIPLES[head](*posets))
             return
         block = self.block
         for w, a in zip(words, args):
@@ -154,11 +173,7 @@ class _Parser:
         if block.kind == "poset":
             if not block.labels:
                 self.fail(lineno, f"poset {name!r} has no elements")
-            self.triples += len(block.labels) ** 3
-            if self.triples > MAX_ELEMENTS**3:
-                self.fail(
-                    lineno, f"poset {name!r} takes the file past {MAX_ELEMENTS}^3 element triples"
-                )
+            self.count(block, len(block.labels) ** 3)
             try:
                 built = build_poset(name, block.labels, block.pairs)
             except OrdbenchError as exc:

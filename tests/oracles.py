@@ -10,6 +10,7 @@ from ordbench import (
     SizeBoundExceeded,
     UnknownSuite,
     catalog,
+    compose_adjoint,
     enumerate_adjoint_connections,
     left_adjoint_connection,
     monotone_maps,
@@ -17,7 +18,7 @@ from ordbench import (
     right_adjoint_connection,
 )
 from ordbench import laws, posetgen
-from ordbench.laws import LAW_TABLE, FoundCase, SearchResult, SuiteResult, _operands
+from ordbench.laws import LAW_TABLE, THEOREMS, FoundCase, SearchResult, SuiteResult, _operands
 
 
 def enumerate_connections(P, Q):
@@ -259,9 +260,10 @@ def eager_search(predicate, max_size, *, modular_only=False, include_generated=F
 
 
 # ---------------------------------------------------------------------------
-# The verify suites on objects: the oracle of ``laws.run_suite``.  Each case
-# is an AdjointConnection and each law an ``eval_law`` report, read through
-# the public verifiers; every failure line is rendered from those objects.
+# The verify suites on objects: the oracle of ``laws.run_suite``.  Each suite
+# is stated here again, on AdjointConnections: each case is a connection, or
+# two composable ones, each law an ``eval_law`` report, and every failure
+# line is rendered from those reports.
 
 
 @lru_cache(maxsize=None)
@@ -303,20 +305,70 @@ def _describe(ac):
     return f"P={ac.source.name} Q={ac.target.name} left={left} right={right}"
 
 
-def _vector(rep):
-    return " ".join(f"{law}={holds}" for law, holds in rep.truth_vector())
+def _vector(reports):
+    return " ".join(f"{r.law}={r.holds}" for r in reports)
 
 
-def _inconsistent(theorem, ac):
-    rep = laws.verify_theorem(theorem, ac)
-    return () if rep.consistent else (f"{_describe(ac)} {_vector(rep)}",)
+def chain_failures(theorem, ac):
+    """The chain's truth vector, when two of its laws disagree on ac and its hypotheses hold."""
+    _, requires, chain = THEOREMS[theorem]
+    if laws._missing_structure(requires, ac.source, ac.target) is not None:
+        return []
+    reports = [laws.eval_law(law_id, ac) for law_id in chain]
+    values = {r.holds for r in reports}
+    return [f"{_describe(ac)} {_vector(reports)}"] if {True, False} <= values else []
 
 
-def _violated(legs, checks):
-    """A line per failed check, naming the connections ``legs`` it read."""
-    return [
-        f"{' ; '.join(map(_describe, legs))} {chk.name}: {chk.detail}" for chk in checks if not chk.ok
-    ]
+# (name, antecedent, consequent): each reciprocity law implies its
+# modular-connection twin
+DERIVATIONS = (("RF0=>RM0", "RF0", "RM0"), ("LF0=>LM0", "LF0", "LM0"))
+
+
+def derivation_failures(ac):
+    """Each derivation whose antecedent holds on ac and consequent fails, with its witness."""
+    lines = []
+    for name, antecedent, consequent in DERIVATIONS:
+        if laws.eval_law(antecedent, ac).holds:
+            report = laws.eval_law(consequent, ac)
+            if report.holds is False:
+                lines.append(f"{_describe(ac)} {name}: {report.witness.render()}")
+    return lines
+
+
+def modularity_forms(P, Q):
+    """The biconditionals asserted between bounded lattices P -> Q, as (name, lhs, rhs laws)."""
+    if not all(L.is_lattice and L.is_bounded for L in (P, Q)):
+        return []
+    forms = []
+    if P.is_modular:
+        forms.append(("LM0<=>LF0[P modular]", ("LM0",), ("LF0",)))
+    if Q.is_modular:
+        forms.append(("RM0<=>RF0[Q modular]", ("RM0",), ("RF0",)))
+    if P.is_modular and Q.is_modular:
+        forms.append(("LM0&RM0<=>LF0&RF0[both modular]", ("LM0", "RM0"), ("LF0", "RF0")))
+    return forms
+
+
+def modularity_failures(ac):
+    """Each modularity biconditional whose two sides differ on ac, none of its laws skipped."""
+    lines = []
+    for name, lhs, rhs in modularity_forms(ac.source, ac.target):
+        reports = [laws.eval_law(law_id, ac) for law_id in lhs + rhs]
+        values = [r.holds for r in reports]
+        if None not in values and all(values[:len(lhs)]) != all(values[len(lhs):]):
+            lines.append(f"{_describe(ac)} {name}: {_vector(reports)}")
+    return lines
+
+
+def composition_failures(r, s, law_id):
+    """The witness of law_id on r followed by s, when it holds on both legs and fails there."""
+    if not (laws.eval_law(law_id, r).holds and laws.eval_law(law_id, s).holds):
+        return []
+    report = laws.eval_law(law_id, compose_adjoint(r, s))
+    if report.holds is not False:
+        return []
+    legs = f"{_describe(r)} ; {_describe(s)}"
+    return [f"{legs} {law_id} stable under composition: {report.witness.render()}"]
 
 
 def _composable(lattices):
@@ -336,24 +388,12 @@ def _composable(lattices):
 # them, the failure lines of one case)
 ORACLE_SUITES = {
     **{
-        name: (lambda L: True, partial(_pairs, connections), partial(_inconsistent, name))
+        name: (lambda L: True, partial(_pairs, connections), partial(chain_failures, name))
         for name, connections in THEOREM_CONNECTIONS.items()
     },
-    "derivations": (
-        lambda L: True,
-        partial(_pairs, _adjoint_connections),
-        lambda ac: _violated((ac,), laws.verify_derivations(ac)),
-    ),
-    "modularity": (
-        lambda L: True,
-        partial(_pairs, _adjoint_connections),
-        lambda ac: _violated((ac,), laws.verify_modularity_refinements(ac)),
-    ),
-    "composition": (
-        lambda L: L.size <= 4,
-        _composable,
-        lambda case: _violated(case[:2], (laws.verify_composition_stability(*case),)),
-    ),
+    "derivations": (lambda L: True, partial(_pairs, _adjoint_connections), derivation_failures),
+    "modularity": (lambda L: True, partial(_pairs, _adjoint_connections), modularity_failures),
+    "composition": (lambda L: L.size <= 4, _composable, lambda case: composition_failures(*case)),
 }
 
 

@@ -240,6 +240,19 @@ def test_write_failure_on_a_closed_pipe_exits_2(tmp_path, unbuffered):
     assert (code, err) == (2, ["error: cannot write output: Broken pipe"])
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_write_failure_in_process_leaves_no_descriptor_open(monkeypatch, capsys):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run(["quantale", "--zn", "12", "--principal"]) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n" * 3
+
+
 def test_laws_single_law(capsys):
     code, out, _ = invoke(capsys, "laws", str(DATA / "idC3.conn"), "--law", "LF0")
     assert code == 0

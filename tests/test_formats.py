@@ -313,6 +313,49 @@ def test_files_hold_at_most_one_largest_block_of_triples():
         )
 
 
+def chain(n):
+    return (
+        "poset C\nelem " + " ".join(f"c{i}" for i in range(n)) + "\n"
+        + "".join(f"le c{i} c{i + 1}\n" for i in range(n - 1))
+    )
+
+
+def test_files_hold_at_most_one_largest_connection_block():
+    # a connection between posets of n and m elements counts n*m*max(n, m)
+    # triples, checked at its header: the second is refused before its rel line
+    one = antichain(MAX_ELEMENTS) + "conn a A A\n"
+    assert parse_text(one).connections["a"].rel[0] == (False,) * MAX_ELEMENTS
+    with pytest.raises(ParseError) as info:
+        parse_text(one + "conn b A A\nrel a0 nowhere\n")
+    assert (info.value.line, info.value.message) == (
+        MAX_ELEMENTS + 3, "connection 'b' takes the file past 240^3 element triples",
+    )
+    # 200*100*200 = 4e6 triples each: three fit within 240**3, a fourth does not
+    text = antichain(200) + "poset B\nelem " + " ".join(f"b{i}" for i in range(100)) + "\n"
+    for i, (src, dst) in enumerate(("AB", "BA", "AB", "BA")):
+        text += f"conn k{i} {src} {dst}\n"
+    with pytest.raises(ParseError) as info:
+        parse_text(text)
+    assert (info.value.line, info.value.message) == (
+        207, "connection 'k3' takes the file past 240^3 element triples",
+    )
+    assert len(parse_text(text.rsplit("conn", 1)[0]).connections) == 3
+
+
+def test_files_hold_at_most_one_largest_quantale_block():
+    # the second quantale over the largest chain is refused at its header,
+    # after the first one, min on the chain, is built
+    n = MAX_ELEMENTS
+    text = chain(n) + "quantale Q over C\n"
+    text += "".join(f"mul c{a} c{b} c{a}\n" for a in range(n) for b in range(a, n))
+    text += "quantale R over C\n"
+    with pytest.raises(ParseError) as info:
+        parse_text(text)
+    assert (info.value.line, info.value.message) == (
+        len(text.splitlines()), "quantale 'R' takes the file past 240^3 element triples",
+    )
+
+
 def test_files_hold_at_most_the_byte_bound(tmp_path):
     path = tmp_path / "long.txt"
     path.write_bytes(b"#" * MAX_FILE_BYTES)

@@ -14,10 +14,10 @@ from ordbench import (
     SizeBoundExceeded,
     UnknownLaw,
     UnknownSuite,
-    UnsupportedLaw,
     build_poset,
     catalog,
     catalog_named,
+    compose_adjoint,
     connection_of_monotone_left,
     element_connection,
     enumerate_adjoint_connections,
@@ -35,16 +35,21 @@ from ordbench import (
     right_adjoint_connection,
     run_suite,
     search_counterexample,
-    verify_composition_stability,
-    verify_derivations,
-    verify_modularity_refinements,
-    verify_theorem,
     zn_ideal_quantale,
 )
 from ordbench import laws
+from ordbench.laws import THEOREMS
 from ordbench.posetgen import generated_lattices
 
-from oracles import case_scan, eager_search
+from oracles import (
+    case_scan,
+    chain_failures,
+    composition_failures,
+    derivation_failures,
+    eager_search,
+    modularity_failures,
+    modularity_forms,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,18 +100,12 @@ def test_mul_by_m_laws(mul_by_m):
 
 
 def test_mul_by_m_theorem_vectors(mul_by_m):
-    lm = verify_theorem("lm", mul_by_m)
-    assert lm.consistent and all(h is True for _, h in lm.truth_vector())
-    rm = verify_theorem("rm", mul_by_m)
-    assert rm.consistent and all(h is False for _, h in rm.truth_vector())
-    rm045 = verify_theorem("rm045", mul_by_m)
-    assert rm045.consistent and all(h is False for _, h in rm045.truth_vector())
-    lm045 = verify_theorem("lm045", mul_by_m)
-    assert lm045.consistent and all(h is True for _, h in lm045.truth_vector())
-    lf = verify_theorem("lf", mul_by_m)
-    assert lf.consistent and all(h is True for _, h in lf.truth_vector())
-    rf = verify_theorem("rf", mul_by_m)
-    assert rf.consistent and all(h is False for _, h in rf.truth_vector())
+    expected = {"lm": True, "rm": False, "rm045": False, "lm045": True, "lf": True, "rf": False}
+    for theorem, holds in expected.items():
+        _, requires, chain = THEOREMS[theorem]
+        assert laws._missing_structure(requires, mul_by_m.source, mul_by_m.target) is None
+        assert [eval_law(law_id, mul_by_m).holds for law_id in chain] == [holds] * len(chain)
+        assert chain_failures(theorem, mul_by_m) == []
 
 
 def test_unknown_law_rejected(n5):
@@ -121,9 +120,13 @@ def test_one_sided_law_evaluation(c2, c3):
     assert eval_law("LF2", one_sided).holds is not None
     assert eval_law("LM1", one_sided).skipped == "right adjoint absent"
     assert eval_law("RF1", one_sided).skipped == "right adjoint absent"
-    assert verify_theorem("lf", one_sided).skipped is None
-    rf = verify_theorem("rf", one_sided)
-    assert rf.skipped == "right adjoint absent" and rf.reports == ()
+    # the lf chain is decided on a left connection; every law of the rf chain is skipped
+    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["lf"][2]] == [
+        None, None, "right adjoint absent",
+    ]
+    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["rf"][2]] == [
+        "right adjoint absent",
+    ] * 3
 
 
 def test_structure_skips_on_unbounded_poset():
@@ -133,8 +136,8 @@ def test_structure_skips_on_unbounded_poset():
     assert eval_law("RM0", ac).skipped == "Q has no bottom"
     assert eval_law("LF0", ac).skipped == "P lacks binary meets"
     assert eval_law("RF0", ac).skipped == "P lacks binary joins"
-    assert verify_theorem("rm045", ac).skipped == "P lacks binary joins"
-    assert verify_theorem("lm045", ac).skipped == "P has no top"
+    for theorem, reason in (("rm045", "P lacks binary joins"), ("lm045", "P has no top")):
+        assert laws._missing_structure(THEOREMS[theorem][1], antichain, antichain) == reason
     # LM1..LM3 quantify only over existing bounds and still hold
     for law_id in ("LM1", "LM2", "LM3", "RM1", "RM2", "RM3", "LF1", "LF2", "RF1", "RF2"):
         assert eval_law(law_id, ac).holds is True
@@ -283,28 +286,25 @@ def test_theorem_suites_on_small_corpus():
 
 
 def test_derivations_on_identity(m3):
-    for chk in verify_derivations(identity_adjoint(m3)):
-        assert chk.ok and chk.status in ("holds", "vacuous")
+    assert derivation_failures(identity_adjoint(m3)) == []
 
 
 def test_derivations_vacuous_when_rf0_fails(mul_by_m):
-    rf_to_rm, lf_to_lm = verify_derivations(mul_by_m)
-    assert rf_to_rm.status == "vacuous" and rf_to_rm.ok
-    assert lf_to_lm.status == "holds" and lf_to_lm.ok
+    assert [eval_law(law_id, mul_by_m).holds for law_id in ("RF0", "LF0", "LM0")] == [
+        False, True, True,
+    ]
+    assert derivation_failures(mul_by_m) == []
 
 
 def test_modularity_refinements_on_b2_pairs(b2):
     for ac in enumerate_adjoint_connections(b2, b2):
-        for chk in verify_modularity_refinements(ac):
-            assert chk.ok
+        assert modularity_failures(ac) == []
 
 
 def test_modularity_refinements_skip_semantics(n5, c3):
     # Q = N5 not modular: the RM0<=>RF0 biconditional is not asserted
-    for ac in enumerate_adjoint_connections(c3, n5):
-        names = [chk.name for chk in verify_modularity_refinements(ac)]
-        assert not any("RM0<=>RF0" in n for n in names)
-        assert not any("both modular" in n for n in names)
+    assert [name for name, _, _ in modularity_forms(c3, n5)] == ["LM0<=>LF0[P modular]"]
+    assert [name for name, _, _ in modularity_forms(n5, n5)] == []
 
 
 def test_lf_side_modularity_refinement_admits_counterexample(b2, c3):
@@ -326,8 +326,9 @@ def test_lf_side_modularity_refinement_admits_counterexample(b2, c3):
     assert lf0.witness.render() == "b=10 c=1 lhs=1 rhs=0"
     assert eval_law("RM0", ac).holds is False
     assert b2.is_modular
-    checks = verify_modularity_refinements(ac)
-    assert any(not chk.ok and chk.name == "LM0<=>LF0[P modular]" for chk in checks)
+    assert modularity_failures(ac) == [
+        "P=B2 Q=C3 left=(0, 1, 2, 2) right=(0, 1, 3) LM0<=>LF0[P modular]: LM0=True LF0=False",
+    ]
 
 
 def test_one_sided_modularity_refinements_admit_counterexamples(c3, b2):
@@ -347,8 +348,9 @@ def test_one_sided_modularity_refinements_admit_counterexamples(c3, b2):
     assert eval_law("RF0", ac).holds is False
     assert eval_law("LM0", ac).holds is False
     assert b2.is_modular
-    checks = verify_modularity_refinements(ac)
-    assert any(not chk.ok and "RM0<=>RF0" in chk.name for chk in checks)
+    assert modularity_failures(ac) == [
+        "P=C3 Q=B2 left=(0, 1, 3) right=(0, 1, 0, 2) RM0<=>RF0[Q modular]: RM0=True RF0=False",
+    ]
 
 
 def test_conjunction_and_split_refinements_hold():
@@ -376,14 +378,14 @@ def test_conjunction_and_split_refinements_hold():
 def test_composition_stability_identity(c3):
     ident = identity_adjoint(c3)
     for law_id in ("LF0", "RF0"):
-        chk = verify_composition_stability(ident, ident, law_id)
-        assert chk.ok and chk.status == "holds"
+        assert eval_law(law_id, compose_adjoint(ident, ident)).holds is True
+        assert composition_failures(ident, ident, law_id) == []
 
 
 def test_composition_stability_vacuous(mul_by_m, f3):
     ident = identity_adjoint(f3)
-    chk = verify_composition_stability(mul_by_m, ident, "RF0")
-    assert chk.ok and chk.status == "vacuous"
+    assert eval_law("RF0", mul_by_m).holds is False
+    assert composition_failures(mul_by_m, ident, "RF0") == []
 
 
 def test_composition_stability_small_exhaustive():
@@ -394,7 +396,7 @@ def test_composition_stability_small_exhaustive():
                 for r in enumerate_adjoint_connections(P, Q):
                     for s in enumerate_adjoint_connections(Q, S):
                         for law_id in ("LF0", "RF0"):
-                            assert verify_composition_stability(r, s, law_id).ok
+                            assert composition_failures(r, s, law_id) == []
 
 
 def test_predicate_parser():
@@ -425,8 +427,6 @@ def test_law_errors_are_typed(n5):
         (PredicateSyntaxError, "more than 200", lambda: parse_predicate(" & ".join(["LM0"] * 1500))),
         (PredicateSyntaxError, "201 tokens", lambda: parse_predicate("!" * 200 + "LM0")),
         (UnknownSuite, "unknown suite 'nope'", lambda: run_suite("nope", [n5])),
-        (UnknownSuite, "unknown theorem 'nope'", lambda: verify_theorem("nope", ac)),
-        (UnsupportedLaw, "LF0 and RF0 only", lambda: verify_composition_stability(ac, ac, "LM0")),
     ]
     for cls, message, call in cases:
         with pytest.raises(OrdbenchError) as info:

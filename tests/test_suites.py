@@ -1,8 +1,8 @@
 """The verify suites on value tables, against the object path kept as their oracle.
 
 ``laws.run_suite`` decides every law on value tables through a verdict memo
-per pair of lattices; ``oracles.oracle_run_suite`` evaluates each case as an
-AdjointConnection through ``eval_law`` and the public verifiers.  The whole
+per pair of lattices; ``oracles.oracle_run_suite`` states each suite again on
+AdjointConnections and evaluates each law through ``eval_law``.  The whole
 ``SuiteResult`` of every suite, details included, must agree: on the
 catalog, on the catalog with every lattice of size <= 4, on bare posets, and
 with faulty kernels patched into ``LAW_TABLE`` so that every suite prints
@@ -150,6 +150,18 @@ def test_each_law_is_decided_once_per_connection(monkeypatch, fresh_verdicts):
         if name != "composition":  # which decides each composite it reads afresh
             run_suite(name, catalog())
     assert decided and max(decided.values()) == 1
+
+
+def test_verdict_memo_cannot_change_a_report(fresh_verdicts):
+    """Each suite alone, and all nine in reverse order, report as the in-order run does."""
+    in_order = [run_suite(name, catalog()) for name in SUITE_ORDER]
+    alone = []
+    for name in SUITE_ORDER:
+        laws._adjoint_connections.cache_clear()
+        alone.append(run_suite(name, catalog()))
+    laws._adjoint_connections.cache_clear()
+    reverse = [run_suite(name, catalog()) for name in reversed(SUITE_ORDER)][::-1]
+    assert alone == in_order and reverse == in_order
 
 
 def test_one_sided_cases_index_the_pair_memo(bare_posets):
