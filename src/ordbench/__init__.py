@@ -3,7 +3,11 @@
 Finite posets and lattices, connections (weakening relations) with their
 left/right adjoints, the modular-connection and reciprocity law families
 with exhaustive verify suites, commutative quantales with principal
-element detection, and a deterministic CLI.
+element detection, and a deterministic CLI.  The package holds what the
+CLI's six verbs run, on order tables and value tables.  The object-level
+constructors the tests check it against (a map's relation, composites,
+restrictions, connections enumerated as objects) live in the test suite's
+``tests/oracles.py``.
 """
 
 from .errors import (
@@ -34,38 +38,22 @@ from .errors import (
     UnreadableFile,
 )
 from .lattice import (
-    ElementView,
     FiniteLattice,
     MonotoneMap,
     build_poset,
     catalog,
-    catalog_named,
-    compose_maps,
     divisor_lattice,
-    down_set,
     dual,
     from_leq,
     iter_monotone_maps,
     monotone_maps,
-    up_set,
 )
 from .connection import (
     AdjointConnection,
     Connection,
-    compose,
-    compose_adjoint,
-    connection_of_monotone_left,
-    connection_of_monotone_right,
-    enumerate_adjoint_connections,
     find_left_adjoint,
     find_right_adjoint,
     find_weakening_violation,
-    is_connection,
-    left_adjoint_connection,
-    make_adjoint,
-    opposite,
-    restrict_left,
-    right_adjoint_connection,
 )
 from .laws import (
     LAW_IDS,
@@ -78,7 +66,6 @@ from .laws import (
     Witness,
     eval_law,
     parse_predicate,
-    recheck_witness,
     run_suite,
     search_counterexample,
 )

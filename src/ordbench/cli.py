@@ -1,9 +1,10 @@
 """Command-line front end.
 
 All reports are plain UTF-8 text, one fact per line, byte-identical across
-runs for identical inputs.  Exit status: 0 on success, 1 when a theorem
-verifier found a disagreement or an explicitly requested law failed, 2 for
-usage and input errors and for output that cannot be written.
+runs for identical inputs.  Exit status: 0 on success, 1 when a ``verify``
+suite found a disagreement or a law that ``laws`` printed fails (a named
+one, or without ``--law`` any applicable one), 2 for usage and input errors
+and for output that cannot be written.
 """
 
 from __future__ import annotations

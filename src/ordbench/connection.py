@@ -11,42 +11,30 @@ The defining biconditionals say that column y of R is the principal
 down-set of g(y), and row x the principal up-set of f(x), a down-set of Q's
 dual.  So each adjoint value is one mask looked up in a ``down_index``, P's
 for a column and Q.op's for a row; a mask that is no element's means no
-adjoint.  g's left adjoint is its closed-form right adjoint between the duals.
+adjoint.  A map's right adjoint is read in closed form, with no relation
+built, and g's left adjoint is its right adjoint between the duals.
 
 An adjoint connection is its maps: monotone f and g are adjoint exactly
-when x <= g(f(x)) and f(g(y)) <= y for all x, y (unit and counit).  Its
-relation is read off an order table when first read; only the relational
-:func:`compose` of two arbitrary connections fills a table cell by cell.
+when x <= g(f(x)) and f(g(y)) <= y for all x, y (unit and counit).  No
+relation is built from a map here; the object-level constructors (a map's
+relation, composites, enumeration into objects) are the tests' oracles.
 
 The left map of a connection with both adjoints preserves bottom and every
-join that exists, so the adjoint connections P -> Q are enumerated over the
+join that exists, so the adjoint connections P -> Q are walked over the
 monotone maps that do: the walk gives an element that is the join of two
 earlier ones the join of their values, drops a partial value table as soon
 as one of its joins fails, and keeps a survivor f when its closed-form
 right adjoint exists.  Between finite lattices every survivor is kept.  The
-walk yields value tables; the enumeration builds validated maps from them.
+walk yields value tables (f, g); the suites and the search read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import (
-    DimensionMismatch,
-    MissingAdjoint,
-    NotAdjoint,
-    SourceTargetMismatch,
-)
-from .lattice import (
-    FiniteLattice,
-    MonotoneMap,
-    _backtrack,
-    _mask,
-    compose_maps,
-    down_set,
-)
+from .errors import DimensionMismatch, MissingAdjoint, NotAdjoint, SourceTargetMismatch
+from .lattice import FiniteLattice, MonotoneMap, _backtrack, _mask
 
 
 @dataclass(frozen=True, repr=False)
@@ -78,8 +66,7 @@ class AdjointConnection:
     """An adjoint connection, as its left map f: P -> Q and right map g: Q -> P.
 
     Either map may be absent, but not both.  With both present, construction
-    checks that g runs Q -> P and that f -| g by unit and counit.  ``conn``
-    is read off a present map on first use.
+    checks that g runs Q -> P and that f -| g by unit and counit.
     """
 
     left: Optional[MonotoneMap]
@@ -102,16 +89,6 @@ class AdjointConnection:
     @property
     def target(self) -> FiniteLattice:
         return self.left.target if self.left is not None else self.right.source
-
-    @cached_property
-    def conn(self) -> Connection:
-        if self.left is not None:
-            return connection_of_monotone_left(self.left)
-        return connection_of_monotone_right(self.right)
-
-    @property
-    def is_adjoint(self) -> bool:
-        return self.left is not None and self.right is not None
 
     def __repr__(self) -> str:
         lv = self.left.values if self.left else None
@@ -155,19 +132,9 @@ def find_weakening_violation(source, target, rel) -> Optional[tuple[int, int, in
     return None
 
 
-def is_connection(source, target, rel) -> bool:
-    """True iff the weakening law holds for all quadruples."""
-    return find_weakening_violation(source, target, rel) is None
-
-
 def _columns(rel, target: FiniteLattice) -> tuple[tuple[bool, ...], ...]:
     """The columns of a relation table into ``target``, also when it has no rows."""
     return tuple(zip(*rel)) if rel else ((),) * target.size
-
-
-def opposite(c: Connection) -> Connection:
-    """The transposed relation, as a connection between the cached dual posets."""
-    return Connection(c.target.op, c.source.op, _columns(c.rel, c.target))
 
 
 def find_left_adjoint(c: Connection) -> Optional[MonotoneMap]:
@@ -190,17 +157,6 @@ def find_right_adjoint(c: Connection) -> Optional[MonotoneMap]:
     return None if None in values else MonotoneMap(c.target, c.source, values)
 
 
-def connection_of_monotone_left(f: MonotoneMap) -> Connection:
-    """The connection x R y iff f(x) <= y; find_left_adjoint recovers f."""
-    return Connection(f.source, f.target, tuple(f.target.leq[v] for v in f.values))
-
-
-def connection_of_monotone_right(g: MonotoneMap) -> Connection:
-    """The connection x R y iff x <= g(y): P's order columns at g(y), transposed."""
-    P = g.target
-    return Connection(P, g.source, _columns([P.geq[v] for v in g.values], P))
-
-
 def _right_adjoints(P: FiniteLattice, Q: FiniteLattice):
     """The right adjoint in closed form of maps P -> Q: f's value table to g's, or None.
 
@@ -217,67 +173,6 @@ def _right_adjoints(P: FiniteLattice, Q: FiniteLattice):
         return None if None in g else g
 
     return right
-
-
-def left_adjoint_connection(f: MonotoneMap) -> AdjointConnection:
-    """f's adjoint connection, with the right adjoint when it exists."""
-    g = _right_adjoints(f.source, f.target)(f.values)
-    return AdjointConnection(f, None if g is None else MonotoneMap(f.target, f.source, g))
-
-
-def right_adjoint_connection(g: MonotoneMap) -> AdjointConnection:
-    """g's adjoint connection, with its left adjoint (its right adjoint between the duals) if any."""
-    f = _right_adjoints(g.source.op, g.target.op)(g.values)
-    return AdjointConnection(None if f is None else MonotoneMap(g.target, g.source, f), g)
-
-
-def make_adjoint(c: Connection) -> Optional[AdjointConnection]:
-    """c as the adjoint connection of its two adjoints; None if either is missing."""
-    left = find_left_adjoint(c)
-    if left is None:
-        return None
-    right = find_right_adjoint(c)
-    if right is None:
-        return None
-    return AdjointConnection(left, right)
-
-
-def compose(r: Connection, s: Connection) -> Connection:
-    """Relational composite: x (S.R) z iff some y has x R y and y S z."""
-    if r.target != s.source:
-        raise SourceTargetMismatch(
-            f"cannot compose ...->{r.target.name} with {s.source.name}->..."
-        )
-    mid = range(r.target.size)
-    rel = tuple(
-        tuple(any(r.rel[x][y] and s.rel[y][z] for y in mid) for z in range(s.target.size))
-        for x in range(r.source.size)
-    )
-    return Connection(r.source, s.target, rel)
-
-
-def compose_adjoint(r: AdjointConnection, s: AdjointConnection) -> AdjointConnection:
-    """Composite of two adjoint connections: the composed left and right maps."""
-    if not (r.is_adjoint and s.is_adjoint):
-        raise MissingAdjoint("compose_adjoint needs fully adjoint connections")
-    return AdjointConnection(compose_maps(r.left, s.left), compose_maps(s.right, r.right))
-
-
-def restrict_left(ac: AdjointConnection, anchor: int) -> AdjointConnection:
-    """Restrict a left adjoint connection to anchor-down in P and f(anchor)-down in Q.
-
-    Monotonicity makes the restricted left map total into f(anchor)-down; a
-    right adjoint of the restriction is attached when it exists.
-    """
-    if ac.left is None:
-        raise MissingAdjoint("restrict_left needs a left adjoint")
-    f = ac.left.values
-    dn_p = down_set(ac.source, anchor)
-    dn_q = down_set(ac.target, f[anchor])
-    pos_q = {e: i for i, e in enumerate(dn_q.members)}
-    return left_adjoint_connection(
-        MonotoneMap(dn_p.view, dn_q.view, tuple(pos_q[f[a]] for a in dn_p.members))
-    )
 
 
 def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[tuple[int, ...]]:
@@ -310,29 +205,16 @@ def _join_preserving_maps(P: FiniteLattice, Q: FiniteLattice) -> Iterator[tuple[
 
 
 def _adjoint_tables(P: FiniteLattice, Q: FiniteLattice) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The value tables (f, g) of every adjoint connection P -> Q, ordered by f; no map is built."""
+    """The value tables (f, g) of every adjoint connection P -> Q, ordered by f; no map is built.
+
+    The left map f of one, with right map g, preserves bottom and every join
+    that exists in P: f(a v b) <= y iff a v b <= g(y) iff a <= g(y) and
+    b <= g(y) iff f(a) <= y and f(b) <= y.  So the walk over those maps
+    loses no adjoint connection on any finite poset, and the closed-form
+    right adjoint decides which are kept.  Nothing is cached: each call
+    walks afresh.
+    """
     right = _right_adjoints(P, Q)
     for f in _join_preserving_maps(P, Q):
         if (g := right(f)) is not None:
             yield f, g
-
-
-def enumerate_adjoint_connections(P: FiniteLattice, Q: FiniteLattice) -> list[AdjointConnection]:
-    """All adjoint connections P -> Q, ordered lexicographically by left map table.
-
-    The left map f of one, with right map g, preserves bottom and every join
-    that exists in P: f(a v b) <= y iff a v b <= g(y) iff a <= g(y) and
-    b <= g(y) iff f(a) <= y and f(b) <= y, so f(a v b) is the join of f(a)
-    and f(b) in Q; likewise f(bottom) <= y for every y.  The enumeration
-    therefore walks only the monotone maps that preserve them: it tries only
-    that join at an element that is the join of two earlier ones, drops a
-    partial table as soon as a join check fails, and loses no adjoint
-    connection on any finite poset.  The closed-form right adjoint decides
-    which candidates are kept, and between finite lattices keeps every one;
-    each kept pair is checked by unit and counit.  Nothing is cached: each
-    call walks afresh and returns a new list.
-    """
-    return [
-        AdjointConnection(MonotoneMap(P, Q, f), MonotoneMap(Q, P, g))
-        for f, g in _adjoint_tables(P, Q)
-    ]

@@ -13,7 +13,7 @@ int mask, meet[a][b] is the element whose mask is ``down[a] & down[b]``, or
 None if no element has that mask; joins, top and bottom likewise.
 
 Every poset read from a table or from pairs is checked by :func:`from_leq`;
-one derived from a checked poset (a dual, a down-set or up-set view) is not.
+a dual, derived from a checked poset, is not.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     IndexOutOfRange,
     NotAnOrder,
     NotMonotone,
-    SourceTargetMismatch,
     UnknownLabel,
 )
 
@@ -187,30 +186,6 @@ class MonotoneMap:
         return f"MonotoneMap({self.source.name}->{self.target.name}, {self.values})"
 
 
-@dataclass(frozen=True)
-class ElementView:
-    """A down-set or up-set of a poset, presented as a poset in its own right.
-
-    ``members`` are host indices in ascending order; ``view`` carries the
-    induced order with the host's labels.
-    """
-
-    host: FiniteLattice
-    anchor: int
-    direction: str  # "down" | "up"
-    members: tuple[int, ...]
-    view: FiniteLattice
-
-
-def compose_maps(first: MonotoneMap, second: MonotoneMap) -> MonotoneMap:
-    """The map sending x to second(first(x))."""
-    if first.target != second.source:
-        raise SourceTargetMismatch(
-            f"cannot compose {first.target.name} -> ... with ... -> {second.source.name}"
-        )
-    return MonotoneMap(first.source, second.target, tuple(second.values[v] for v in first.values))
-
-
 def from_leq(name: str, labels: Sequence[str], leq) -> FiniteLattice:
     """Build a poset from an explicit order table, validating the order axioms."""
     labels = tuple(labels)
@@ -307,28 +282,6 @@ def dual(L: FiniteLattice) -> FiniteLattice:
     return D
 
 
-def down_set(L: FiniteLattice, a: int) -> ElementView:
-    """The view of {b | b <= a} with the induced order; the anchor is its top."""
-    L.check_element(a)
-    members = tuple(b for b in range(L.size) if L.leq[b][a])
-    view = _induced(L, members, f"{L.name}[<={L.labels[a]}]")
-    return ElementView(L, a, "down", members, view)
-
-
-def up_set(L: FiniteLattice, c: int) -> ElementView:
-    """The view of {b | b >= c} with the induced order; the anchor is its bottom."""
-    L.check_element(c)
-    members = tuple(b for b in range(L.size) if L.leq[c][b])
-    view = _induced(L, members, f"{L.name}[>={L.labels[c]}]")
-    return ElementView(L, c, "up", members, view)
-
-
-def _induced(L, members, name):
-    labels = tuple(L.labels[b] for b in members)
-    leq = tuple(tuple(L.leq[a][b] for b in members) for a in members)
-    return _finalize(name, labels, leq)
-
-
 def _chain(k: int, name: str, labels: Optional[Sequence[str]] = None) -> FiniteLattice:
     labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(k))
     return build_poset(name, labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
@@ -399,13 +352,6 @@ def catalog() -> list[FiniteLattice]:
     reverse divisibility), F3 (the 3-chain bot < m < top, used as a frame).
     """
     return list(_catalog_cached())
-
-
-def catalog_named(name: str) -> FiniteLattice:
-    for L in _catalog_cached():
-        if L.name == name:
-            return L
-    raise UnknownLabel(f"no catalog lattice named {name!r}")
 
 
 def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, forced) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,8 @@ hypotheses are missing (a missing adjoint, no top, no binary meets, ...)
 is reported as *skipped*, never silently true or false.  LF1/LF2 need only
 a left adjoint and RF1/RF2 only a right adjoint; every other law needs the
 full adjoint pair.  ``THEOREMS`` lists, per theorem, the connections its
-suite visits, its hypotheses and the chain of laws it asserts equivalent.
+suite visits and the chain of laws it asserts equivalent; a law of the
+chain is skipped by its own hypotheses.
 ``SUITES`` lists all nine suites, each as the lattices it visits, its units
 (an ordered pair, or a composable triple) and the failure lines of each case
 of a unit; ``run_suite`` is the one loop over them, and the counterexample
@@ -40,9 +41,9 @@ pass over the tables that returns the first failing case in that order.
 LF0 compares whole rows of meets and looks for the failing cell only in a
 row that differs; LM1, LF1 and LF2 compare int masks of Q's down-sets with
 masks of f's images; the other laws are nested loops with no call per
-case.  A per-law check evaluates one case, so ``recheck_witness`` can
-reproduce a witness.  The tests keep the case-by-case scan of every law in
-``tests/oracles.py``, as the kernels' oracle.
+case.  Each law is stated here once, by its kernel.  The tests state every
+law again case by case in ``tests/oracles.py``, as the kernels' oracle, and
+recheck witnesses there.
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 on the opposite connection Q.op -> P.op between the cached duals, whose left
@@ -134,7 +135,6 @@ class _LawDef:
     var_sides: str  # "P"/"Q" per case entry: the evaluated connection's poset
     requires: tuple[str, ...]  # hypotheses, in the order their skip reasons are tried
     first_failure: Callable  # (P, Q, f, g) -> first failing (case, lhs, rhs), or None
-    check: Callable  # (P, Q, f, g, case) -> (ok, lhs, rhs) at one case
     opposite: bool = False  # evaluated on the opposite connection Q.op -> P.op
     reverse: bool = False  # a case lists the law's variables in reverse order
     swap: bool = False  # a case's (lhs, rhs) are the law's (rhs, lhs)
@@ -169,12 +169,6 @@ def _tables(ac: AdjointConnection):
     return ac.source, ac.target, f, g
 
 
-def _operands(law: _LawDef, ac: AdjointConnection):
-    """The (P, Q, f, g) a law's kernel reads on ac; see :func:`_first_failure`."""
-    P, Q, f, g = _tables(ac)
-    return (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
-
-
 def _first_failure(law: _LawDef, P, Q, f, g):
     """A law's first failing (case, lhs, rhs) on (P, Q, f, g), whose hypotheses hold, or None."""
     return law.first_failure(Q.op, P.op, g, f) if law.opposite else law.first_failure(P, Q, f, g)
@@ -184,18 +178,12 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _down_image(P, f, b) -> set:
-    """The image under f of everything below b."""
-    return {f[a] for a in range(P.size) if P.leq[a][b]}
-
-
 # ---------------------------------------------------------------------------
 # The law table.  Each left-hand law has a kernel that returns its first
 # failing case (case, lhs, rhs), visiting the assignments in ascending index
-# order, or None; and a check that evaluates one case as (ok, lhs, rhs), so a
-# witness can be rechecked.  Each right-hand law is a left-hand law evaluated
-# on the opposite connection.  The tests keep a case-by-case scan of every
-# law as the kernels' oracle.
+# order, or None.  Each right-hand law is a left-hand law evaluated on the
+# opposite connection.  The tests keep a case-by-case check of every law as
+# the kernels' oracle.
 
 
 def _lm0_first_failure(P, Q, f, g):
@@ -206,13 +194,6 @@ def _lm0_first_failure(P, Q, f, g):
         if lhs != rhs:
             return (y,), lhs, rhs
     return None
-
-
-def _lm0_check(P, Q, f, g, case):
-    (y,) = case
-    lhs = f[g[y]]
-    rhs = Q.meet[y][f[P.top]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
 def _image_masks(P, f):
@@ -255,12 +236,6 @@ def _first_missing_image(images, P, Q, f, g):
     return None
 
 
-def _lm1_check(P, Q, f, g, case):
-    b, c = case
-    ok = c in f
-    return (ok, c, c if ok else None)
-
-
 def _lm2_first_failure(P, Q, f, g):
     m, leqQ, meetQ = Q.size, Q.leq, Q.meet
     fg = tuple(map(f.__getitem__, g))
@@ -270,13 +245,6 @@ def _lm2_first_failure(P, Q, f, g):
             if above[d] and meet_c[fg[d]] != lhs:
                 return (c, d), lhs, meet_c[fg[d]]
     return None
-
-
-def _lm2_check(P, Q, f, g, case):
-    c, d = case
-    lhs = f[g[c]]
-    rhs = Q.meet[c][f[g[d]]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
 def _lm3_first_failure(P, Q, f, g):
@@ -289,13 +257,6 @@ def _lm3_first_failure(P, Q, f, g):
             if k is not None and fg[k] != meet_c[fg[d]]:
                 return (c, d), fg[k], meet_c[fg[d]]
     return None
-
-
-def _lm3_check(P, Q, f, g, case):
-    c, d = case
-    lhs = f[g[Q.meet[c][d]]]
-    rhs = Q.meet[c][f[g[d]]]
-    return (rhs is not None and lhs == rhs, lhs, rhs)
 
 
 def _meets_with_ftop(P, Q, f):
@@ -313,14 +274,6 @@ def _lm4_first_failure(P, Q, f, g):
     return None
 
 
-def _lm4_check(P, Q, f, g, case):
-    c, d = case
-    ftop = f[P.top]
-    lhs = Q.meet[c][ftop]
-    rhs = Q.meet[d][ftop]
-    return (lhs == rhs, lhs, rhs)
-
-
 def _lm5_first_failure(P, Q, f, g):
     m, leqP, leqQ, low = Q.size, P.leq, Q.leq, _meets_with_ftop(P, Q, f)
     for c in range(m):
@@ -329,12 +282,6 @@ def _lm5_first_failure(P, Q, f, g):
             if below_g[g[d]] and not above_low[d]:
                 return (c, d), low[c], d
     return None
-
-
-def _lm5_check(P, Q, f, g, case):
-    c, d = case
-    lhs = Q.meet[c][f[P.top]]
-    return (Q.leq[lhs][d], lhs, d)
 
 
 def _lf0_first_failure(P, Q, f, g):
@@ -352,19 +299,6 @@ def _lf0_first_failure(P, Q, f, g):
     return None
 
 
-def _lf0_check(P, Q, f, g, case):
-    b, c = case
-    lhs = Q.meet[c][f[b]]
-    rhs = f[P.meet[g[c]][b]]
-    return (lhs == rhs, lhs, rhs)
-
-
-def _lf1_check(P, Q, f, g, case):
-    b, c = case
-    ok = c in _down_image(P, f, b)
-    return (ok, c, c if ok else None)
-
-
 def _lf2_first_failure(P, Q, f, g):
     # Case (a, b, c) with b <= a and c <= f(b) fails when c is no f(x) with x <= a.
     n, leqP, down, images = P.size, P.leq, Q.down_masks, _down_image_masks(P, f)
@@ -378,29 +312,20 @@ def _lf2_first_failure(P, Q, f, g):
     return None
 
 
-def _lf2_check(P, Q, f, g, case):
-    a, b, c = case
-    ok = c in _down_image(P, f, a)
-    return (ok, c, c if ok else None)
-
-
 LAW_TABLE = {
     law.id: law
     for law in (
-        _LawDef("LM0", ("y",), "Q", ("left", "right", "topP"), _lm0_first_failure, _lm0_check),
+        _LawDef("LM0", ("y",), "Q", ("left", "right", "topP"), _lm0_first_failure),
         _LawDef("LM1", ("b", "c"), "PQ", ("left", "right"),
-                partial(_first_missing_image, _image_masks), _lm1_check),
-        _LawDef("LM2", ("c", "d"), "QQ", ("left", "right"), _lm2_first_failure, _lm2_check),
-        _LawDef("LM3", ("c", "d"), "QQ", ("left", "right"), _lm3_first_failure, _lm3_check),
-        _LawDef("LM4", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"),
-                _lm4_first_failure, _lm4_check),
-        _LawDef("LM5", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"),
-                _lm5_first_failure, _lm5_check),
-        _LawDef("LF0", ("b", "c"), "PQ", ("left", "right", "meetsP", "meetsQ"),
-                _lf0_first_failure, _lf0_check),
+                partial(_first_missing_image, _image_masks)),
+        _LawDef("LM2", ("c", "d"), "QQ", ("left", "right"), _lm2_first_failure),
+        _LawDef("LM3", ("c", "d"), "QQ", ("left", "right"), _lm3_first_failure),
+        _LawDef("LM4", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm4_first_failure),
+        _LawDef("LM5", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm5_first_failure),
+        _LawDef("LF0", ("b", "c"), "PQ", ("left", "right", "meetsP", "meetsQ"), _lf0_first_failure),
         _LawDef("LF1", ("b", "c"), "PQ", ("left",),
-                partial(_first_missing_image, _down_image_masks), _lf1_check),
-        _LawDef("LF2", ("a", "b", "c"), "PPQ", ("left",), _lf2_first_failure, _lf2_check),
+                partial(_first_missing_image, _down_image_masks)),
+        _LawDef("LF2", ("a", "b", "c"), "PPQ", ("left",), _lf2_first_failure),
     )
 }
 
@@ -417,7 +342,7 @@ def _opposite_law(law_id, base_id, vars_, requires, reorder=None, swap=False):
     """
     base = LAW_TABLE[base_id]
     return _LawDef(law_id, vars_, base.var_sides, requires, reorder or base.first_failure,
-                   base.check, True, reorder is not None, swap)
+                   True, reorder is not None, swap)
 
 
 # Kernels visiting a base law's assignments in the lexicographic order of its
@@ -515,14 +440,6 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     return LawReport(law_id, False, _witness(law, P, Q, *failure), None)
 
 
-def recheck_witness(law_id: str, ac: AdjointConnection, witness: Witness):
-    """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
-    law = _law(law_id)
-    case = witness.indices[::-1] if law.reverse else witness.indices
-    ok, lhs, rhs = law.check(*_operands(law, ac), case)
-    return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # Theorems, and the connections of a pair with their verdicts
 
@@ -603,19 +520,21 @@ def _right_cases(pair: _Pair):
         yield f, m.values, None if f is None else next(by_right)
 
 
-# theorem -> (connections its suite visits, hypotheses, chain of laws that
-# must agree wherever none of them is skipped)
+# theorem -> (connections its suite visits, chain of laws that must agree
+# wherever they are not skipped)
 THEOREMS = {
     # LM1/LM2/LM3 agree, and LM0 joins the chain when P has a top.
-    "lm": (_adjoint_cases, (), ("LM1", "LM2", "LM3", "LM0")),
+    "lm": (_adjoint_cases, ("LM1", "LM2", "LM3", "LM0")),
     # RM1/RM2/RM3 agree, and RM0 joins the chain when Q has a bottom.
-    "rm": (_adjoint_cases, (), ("RM1", "RM2", "RM3", "RM0")),
-    "rm045": (_adjoint_cases, ("joinsP", "botQ"), ("RM0", "RM4", "RM5")),
-    "lm045": (_adjoint_cases, ("topP", "meetsQ"), ("LM0", "LM4", "LM5")),
+    "rm": (_adjoint_cases, ("RM1", "RM2", "RM3", "RM0")),
+    # RM0/RM4/RM5 agree; RM4 and RM5 need P's binary joins and Q's bottom.
+    "rm045": (_adjoint_cases, ("RM0", "RM4", "RM5")),
+    # LM0/LM4/LM5 agree; LM4 and LM5 need P's top and Q's binary meets.
+    "lm045": (_adjoint_cases, ("LM0", "LM4", "LM5")),
     # LF1/LF2 agree on any left adjoint; LF0 joins when both adjoints and meets exist.
-    "lf": (_left_cases, (), ("LF1", "LF2", "LF0")),
+    "lf": (_left_cases, ("LF1", "LF2", "LF0")),
     # RF1/RF2 agree on any right adjoint; RF0 joins when both adjoints and joins exist.
-    "rf": (_right_cases, (), ("RF1", "RF2", "RF0")),
+    "rf": (_right_cases, ("RF1", "RF2", "RF0")),
 }
 
 
@@ -864,16 +783,15 @@ def _rendered_witness(law_id, P, Q, f, g) -> str:
 
 def _chain_lines(theorem: str, P, Q):
     """The chain's truth vector, when its laws disagree on a connection the theorem visits."""
-    cases, requires, chain = THEOREMS[theorem]
+    cases, chain = THEOREMS[theorem]
     pair = _adjoint_connections(P, Q)
-    skipped = _missing_structure(requires, P, Q) is not None
     # per presence of (left, right): whether each law is skipped
     skips = {
         adjoints: [_skipped((law_id,), P, Q, *adjoints) for law_id in chain]
         for adjoints in ((True, True), (True, False), (False, True))
     }
     for f, g, k in cases(pair):
-        values = () if skipped else [
+        values = [
             None if skip else pair.holds(law_id, f, g, k)
             for law_id, skip in zip(chain, skips[f is not None, g is not None])
         ]

@@ -48,9 +48,6 @@ class Quantale:
     def is_integral(self) -> bool:
         return self.unit is not None and self.unit == self.lattice.top
 
-    def product(self, a: int, b: int) -> int:
-        return self.mult[self.lattice.check_element(a)][self.lattice.check_element(b)]
-
     def __repr__(self) -> str:
         return f"Quantale({self.lattice.name!r}, size={self.lattice.size})"
 

@@ -1,6 +1,8 @@
 import pytest
 
-from ordbench import build_poset, catalog_named
+from ordbench import build_poset
+
+from oracles import catalog_named
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,138 @@
-"""Brute-force oracles shared by the test modules."""
+"""Brute-force oracles shared by the test modules, and the objects the package's tables stand for."""
 
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import product
 from types import SimpleNamespace
 
 from ordbench import (
+    AdjointConnection,
     Connection,
+    MissingAdjoint,
+    MonotoneMap,
     NotMonotone,
     SizeBoundExceeded,
+    SourceTargetMismatch,
+    UnknownLabel,
     UnknownSuite,
     catalog,
-    compose_adjoint,
-    enumerate_adjoint_connections,
-    left_adjoint_connection,
+    find_left_adjoint,
+    find_right_adjoint,
     monotone_maps,
     parse_predicate,
-    right_adjoint_connection,
 )
 from ordbench import laws, posetgen
-from ordbench.laws import LAW_TABLE, THEOREMS, FoundCase, SearchResult, SuiteResult, _operands
+from ordbench.connection import _adjoint_tables, _columns, _right_adjoints
+from ordbench.lattice import _finalize
+from ordbench.laws import LAW_TABLE, THEOREMS, FoundCase, SearchResult, SuiteResult
+
+
+def catalog_named(name):
+    for L in catalog():
+        if L.name == name:
+            return L
+    raise UnknownLabel(f"no catalog lattice named {name!r}")
+
+
+# A down-set or up-set of ``host`` as a poset in its own right: ``members``
+# are host indices in ascending order, ``view`` the induced order.
+ElementView = namedtuple("ElementView", "host anchor direction members view")
+
+
+def _view(L, anchor, direction, keep, order):
+    L.check_element(anchor)
+    members = tuple(filter(keep, range(L.size)))
+    labels = tuple(L.labels[b] for b in members)
+    leq = tuple(tuple(L.leq[a][b] for b in members) for a in members)
+    view = _finalize(f"{L.name}[{order}{L.labels[anchor]}]", labels, leq)
+    return ElementView(L, anchor, direction, members, view)
+
+
+def down_set(L, a):
+    """The view of {b | b <= a}; the anchor is its top."""
+    return _view(L, a, "down", lambda b: L.leq[b][a], "<=")
+
+
+def up_set(L, c):
+    """The view of {b | b >= c}; the anchor is its bottom."""
+    return _view(L, c, "up", lambda b: L.leq[c][b], ">=")
+
+
+# ---------------------------------------------------------------------------
+# Connections as objects: relations read off maps, and adjoint connections
+# built from maps
+
+
+def connection_of_monotone_left(f):
+    """The connection x R y iff f(x) <= y; find_left_adjoint recovers f."""
+    return Connection(f.source, f.target, tuple(f.target.leq[v] for v in f.values))
+
+
+def connection_of_monotone_right(g):
+    """The connection x R y iff x <= g(y): P's order columns at g(y), transposed."""
+    P = g.target
+    return Connection(P, g.source, _columns([P.geq[v] for v in g.values], P))
+
+
+def relation(ac):
+    """The connection of an adjoint connection, read off a present map."""
+    if ac.left is not None:
+        return connection_of_monotone_left(ac.left)
+    return connection_of_monotone_right(ac.right)
+
+
+def opposite(c):
+    """The transposed relation, as a connection between the cached dual posets."""
+    return Connection(c.target.op, c.source.op, _columns(c.rel, c.target))
+
+
+def make_adjoint(c):
+    """c as the adjoint connection of its two adjoints; None if either is missing."""
+    left, right = find_left_adjoint(c), find_right_adjoint(c)
+    return None if left is None or right is None else AdjointConnection(left, right)
+
+
+def left_adjoint_connection(f):
+    """f's adjoint connection, with the right adjoint when it exists."""
+    g = _right_adjoints(f.source, f.target)(f.values)
+    return AdjointConnection(f, None if g is None else MonotoneMap(f.target, f.source, g))
+
+
+def right_adjoint_connection(g):
+    """g's adjoint connection, with its left adjoint (its right adjoint between the duals) if any."""
+    f = _right_adjoints(g.source.op, g.target.op)(g.values)
+    return AdjointConnection(None if f is None else MonotoneMap(g.target, g.source, f), g)
+
+
+def enumerate_adjoint_connections(P, Q):
+    """All adjoint connections P -> Q as objects, ordered by left map table; a new list per call."""
+    return [
+        AdjointConnection(MonotoneMap(P, Q, f), MonotoneMap(Q, P, g))
+        for f, g in _adjoint_tables(P, Q)
+    ]
+
+
+def compose(r, s):
+    """Relational composite: x (S.R) z iff some y has x R y and y S z."""
+    if r.target != s.source:
+        raise SourceTargetMismatch(f"cannot compose ...->{r.target.name} with {s.source.name}->...")
+    mid = range(r.target.size)
+    rel = tuple(
+        tuple(any(r.rel[x][y] and s.rel[y][z] for y in mid) for z in range(s.target.size))
+        for x in range(r.source.size)
+    )
+    return Connection(r.source, s.target, rel)
+
+
+def compose_adjoint(r, s):
+    """Composite of two adjoint connections: the composed left and right maps."""
+    if None in (r.left, r.right, s.left, s.right):
+        raise MissingAdjoint("compose_adjoint needs fully adjoint connections")
+    if r.target != s.source:
+        raise SourceTargetMismatch(f"cannot compose ...->{r.target.name} with {s.source.name}->...")
+    f = tuple(s.left.values[v] for v in r.left.values)
+    g = tuple(r.right.values[v] for v in s.right.values)
+    return AdjointConnection(MonotoneMap(r.source, s.target, f), MonotoneMap(s.target, r.source, g))
 
 
 def enumerate_connections(P, Q):
@@ -161,6 +275,79 @@ BASE_CASES = {
 }
 
 
+# Each base law at one case, as (ok, lhs, rhs); keyed like BASE_CASES.
+
+
+def _equal(lhs, rhs):
+    return (rhs is not None and lhs == rhs, lhs, rhs)
+
+
+def _member(c, image):
+    """A case that fails when c is not in the image: its rhs is c, or None."""
+    return (c in image, c, c if c in image else None)
+
+
+def _lm0_check(P, Q, f, g, case):
+    (y,) = case
+    return _equal(f[g[y]], Q.meet[y][f[P.top]])
+
+
+def _lm1_check(P, Q, f, g, case):
+    return _member(case[1], f)
+
+
+def _lm2_check(P, Q, f, g, case):
+    c, d = case
+    return _equal(f[g[c]], Q.meet[c][f[g[d]]])
+
+
+def _lm3_check(P, Q, f, g, case):
+    c, d = case
+    return _equal(f[g[Q.meet[c][d]]], Q.meet[c][f[g[d]]])
+
+
+def _lm4_check(P, Q, f, g, case):
+    c, d = case
+    return _equal(Q.meet[c][f[P.top]], Q.meet[d][f[P.top]])
+
+
+def _lm5_check(P, Q, f, g, case):
+    c, d = case
+    lhs = Q.meet[c][f[P.top]]
+    return (Q.leq[lhs][d], lhs, d)
+
+
+def _lf0_check(P, Q, f, g, case):
+    b, c = case
+    return _equal(Q.meet[c][f[b]], f[P.meet[g[c]][b]])
+
+
+def _lf_image_check(P, Q, f, g, case):
+    # LF1 at (b, c) and LF2 at (a, b, c): c is f(x) for some x <= the first variable
+    return _member(case[-1], {f[x] for x in range(P.size) if P.leq[x][case[0]]})
+
+
+CHECKS = {
+    "M0": _lm0_check, "M1": _lm1_check, "M2": _lm2_check, "M3": _lm3_check,
+    "M4": _lm4_check, "M5": _lm5_check,
+    "F0": _lf0_check, "F1": _lf_image_check, "F2": _lf_image_check,
+}
+
+
+def _operands(law, ac):
+    """The (P, Q, f, g) a law's cases range over on ac: the opposite connection's for RMk/RFk."""
+    P, Q, f, g = laws._tables(ac)
+    return (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
+
+
+def recheck_witness(law_id, ac, witness):
+    """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
+    law = laws._law(law_id)
+    case = witness.indices[::-1] if law.reverse else witness.indices
+    ok, lhs, rhs = CHECKS[law_id[1:]](*_operands(law, ac), case)
+    return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
+
+
 def case_scan(law_id, ac):
     """A law's first failure by checking every case in turn, or None if it holds.
 
@@ -176,8 +363,9 @@ def case_scan(law_id, ac):
     cases = BASE_CASES[law_id[1:]](ctx)
     if law.reverse:
         cases = sorted(cases, key=lambda case: case[::-1])
+    check = CHECKS[law_id[1:]]
     for case in cases:
-        ok, lhs, rhs = law.check(P, Q, f, g, case)
+        ok, lhs, rhs = check(P, Q, f, g, case)
         if not ok:
             if law.reverse:
                 case = case[::-1]
@@ -209,7 +397,8 @@ def restrict_left_cells(ac, anchor):
     P, Q, f = ac.source, ac.target, ac.left.values
     dn_p = [a for a in range(P.size) if P.leq[a][anchor]]
     dn_q = [b for b in range(Q.size) if Q.leq[b][f[anchor]]]
-    rel = tuple(tuple(ac.conn.rel[a][b] for b in dn_q) for a in dn_p)
+    cells = relation(ac).rel
+    rel = tuple(tuple(cells[a][b] for b in dn_q) for a in dn_p)
     left = tuple(dn_q.index(f[a]) for a in dn_p)
     right = []
     for j in range(len(dn_q)):
@@ -310,10 +499,8 @@ def _vector(reports):
 
 
 def chain_failures(theorem, ac):
-    """The chain's truth vector, when two of its laws disagree on ac and its hypotheses hold."""
-    _, requires, chain = THEOREMS[theorem]
-    if laws._missing_structure(requires, ac.source, ac.target) is not None:
-        return []
+    """The chain's truth vector, when two of its laws disagree on ac."""
+    _, chain = THEOREMS[theorem]
     reports = [laws.eval_law(law_id, ac) for law_id in chain]
     values = {r.holds for r in reports}
     return [f"{_describe(ac)} {_vector(reports)}"] if {True, False} <= values else []

@@ -14,9 +14,7 @@ import time
 
 from ordbench import (
     catalog,
-    catalog_named,
     element_connection,
-    enumerate_adjoint_connections,
     eval_law,
     find_left_adjoint,
     is_principal,
@@ -28,7 +26,7 @@ from ordbench import (
 from ordbench.cli import run as cli_run
 from ordbench.quantale import build_quantale
 
-from oracles import enumerate_connections
+from oracles import catalog_named, enumerate_adjoint_connections, enumerate_connections
 
 SMALL = ("C1", "C2", "C3", "C4", "B2")
 CORPUS = ("C2", "C3", "C4", "B2", "B3", "M3", "N5", "Div12")

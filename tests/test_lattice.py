@@ -15,22 +15,22 @@ from ordbench import (
     UnknownLabel,
     build_poset,
     catalog,
-    catalog_named,
     divisor_lattice,
-    down_set,
     dual,
     from_leq,
     iter_monotone_maps,
-    up_set,
 )
 from ordbench.lattice import _finalize
 from ordbench.posetgen import generated_lattices
 
 from oracles import (
+    catalog_named,
     distributive_by_tables,
+    down_set,
     is_lattice_by_tables,
     modular_by_tables,
     monotone_scan,
+    up_set,
 )
 
 

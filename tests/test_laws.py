@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -16,39 +17,40 @@ from ordbench import (
     UnknownSuite,
     build_poset,
     catalog,
-    catalog_named,
-    compose_adjoint,
-    connection_of_monotone_left,
     element_connection,
-    enumerate_adjoint_connections,
     eval_law,
     find_left_adjoint,
     find_right_adjoint,
-    left_adjoint_connection,
-    make_adjoint,
     monotone_maps,
-    opposite,
     parse_file,
     parse_predicate,
-    recheck_witness,
-    restrict_left,
-    right_adjoint_connection,
     run_suite,
     search_counterexample,
     zn_ideal_quantale,
 )
 from ordbench import laws
-from ordbench.laws import THEOREMS
+from ordbench.laws import LAW_TABLE, THEOREMS
 from ordbench.posetgen import generated_lattices
 
 from oracles import (
     case_scan,
+    catalog_named,
     chain_failures,
+    compose_adjoint,
     composition_failures,
+    connection_of_monotone_left,
     derivation_failures,
     eager_search,
+    enumerate_adjoint_connections,
+    left_adjoint_connection,
+    make_adjoint,
     modularity_failures,
     modularity_forms,
+    opposite,
+    recheck_witness,
+    relation,
+    restrict_left_cells,
+    right_adjoint_connection,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -102,8 +104,7 @@ def test_mul_by_m_laws(mul_by_m):
 def test_mul_by_m_theorem_vectors(mul_by_m):
     expected = {"lm": True, "rm": False, "rm045": False, "lm045": True, "lf": True, "rf": False}
     for theorem, holds in expected.items():
-        _, requires, chain = THEOREMS[theorem]
-        assert laws._missing_structure(requires, mul_by_m.source, mul_by_m.target) is None
+        _, chain = THEOREMS[theorem]
         assert [eval_law(law_id, mul_by_m).holds for law_id in chain] == [holds] * len(chain)
         assert chain_failures(theorem, mul_by_m) == []
 
@@ -121,10 +122,10 @@ def test_one_sided_law_evaluation(c2, c3):
     assert eval_law("LM1", one_sided).skipped == "right adjoint absent"
     assert eval_law("RF1", one_sided).skipped == "right adjoint absent"
     # the lf chain is decided on a left connection; every law of the rf chain is skipped
-    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["lf"][2]] == [
+    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["lf"][1]] == [
         None, None, "right adjoint absent",
     ]
-    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["rf"][2]] == [
+    assert [eval_law(law_id, one_sided).skipped for law_id in THEOREMS["rf"][1]] == [
         "right adjoint absent",
     ] * 3
 
@@ -136,11 +137,31 @@ def test_structure_skips_on_unbounded_poset():
     assert eval_law("RM0", ac).skipped == "Q has no bottom"
     assert eval_law("LF0", ac).skipped == "P lacks binary meets"
     assert eval_law("RF0", ac).skipped == "P lacks binary joins"
-    for theorem, reason in (("rm045", "P lacks binary joins"), ("lm045", "P has no top")):
-        assert laws._missing_structure(THEOREMS[theorem][1], antichain, antichain) == reason
     # LM1..LM3 quantify only over existing bounds and still hold
     for law_id in ("LM1", "LM2", "LM3", "RM1", "RM2", "RM3", "LF1", "LF2", "RF1", "RF2"):
         assert eval_law(law_id, ac).holds is True
+
+
+@pytest.mark.parametrize("theorem, structure, alone", [
+    ("rm045", ("joinsP", "botQ"), "RM0"),
+    ("lm045", ("topP", "meetsQ"), "LM0"),
+])
+def test_chain_needs_no_hypotheses_of_its_own(theorem, structure, alone, bare_posets):
+    """A pair missing the structure two laws of the chain need leaves at most the
+    third unskipped, with or without each adjoint, so the chain cannot disagree."""
+    corpus = catalog() + list(generated_lattices(4)) + list(bare_posets)
+    missed, unskipped = 0, set()
+    for P, Q in itertools.product(corpus, repeat=2):
+        if laws._missing_structure(structure, P, Q) is not None:
+            missed += 1
+            for adjoints in ((True, True), (True, False), (False, True)):
+                decided = [
+                    law_id for law_id in THEOREMS[theorem][1]
+                    if laws._missing_structure(LAW_TABLE[law_id].requires, P, Q, *adjoints) is None
+                ]
+                assert len(decided) <= 1, (P.name, Q.name, adjoints)
+                unskipped.update(decided)
+    assert (missed, unskipped) == (135, {alone})  # of 21 * 21 ordered pairs
 
 
 def test_witnesses_are_reproducible():
@@ -246,7 +267,7 @@ def test_right_laws_are_left_laws_on_the_opposite_connection():
     for P in corpus:
         for Q in corpus:
             for ac in _one_sided_connections(P, Q):
-                conn = opposite(ac.conn)
+                conn = opposite(relation(ac))
                 op = AdjointConnection(find_left_adjoint(conn), find_right_adjoint(conn))
                 for right_law, left_law in pairs:
                     r, l = eval_law(right_law, ac), eval_law(left_law, op)
@@ -257,14 +278,16 @@ def test_right_laws_are_left_laws_on_the_opposite_connection():
 
 def test_lf2_matches_lm1_of_actual_restriction(c3, b2, mul_by_m):
     def lm1_of_restriction(ac):
-        # independent route: restrict and re-check the image down-closure there
+        # independent route: restrict cell by cell and re-check the image
+        # down-closure there, in the order of f(anchor)-down
+        Q, f = ac.target, ac.left.values
         for anchor in range(ac.source.size):
-            sub = restrict_left(ac, anchor)
-            view_q = sub.conn.target
-            image = set(sub.left.values)
-            for b in range(sub.conn.source.size):
-                for c in range(view_q.size):
-                    if view_q.leq[c][sub.left.values[b]] and c not in image:
+            _, left, _ = restrict_left_cells(ac, anchor)
+            dn_q = [y for y in range(Q.size) if Q.leq[y][f[anchor]]]
+            image = set(left)
+            for b in left:
+                for c in range(len(dn_q)):
+                    if Q.leq[dn_q[c]][dn_q[b]] and c not in image:
                         return False
         return True
 

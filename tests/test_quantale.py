@@ -14,7 +14,6 @@ from ordbench import (
     SizeBoundExceeded,
     build_poset,
     build_quantale,
-    catalog_named,
     divisor_lattice,
     element_connection,
     eval_law,
@@ -24,6 +23,8 @@ from ordbench import (
     residual,
     zn_ideal_quantale,
 )
+
+from oracles import catalog_named, relation
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,8 @@ def test_z12_structure(z12):
     assert L.labels == ("(1)", "(2)", "(3)", "(4)", "(6)", "(12)")
     assert L.labels[L.bottom] == "(12)" and L.labels[L.top] == "(1)"
     assert z12.unit == L.index("(1)") and z12.is_integral
-    assert L.labels[z12.product(L.index("(2)"), L.index("(3)"))] == "(6)"
-    assert L.labels[z12.product(L.index("(4)"), L.index("(6)"))] == "(12)"
+    assert L.labels[z12.mult[L.index("(2)")][L.index("(3)")]] == "(6)"
+    assert L.labels[z12.mult[L.index("(4)")][L.index("(6)")]] == "(12)"
 
 
 def test_zn_multiplication_is_ideal_product():
@@ -127,7 +128,7 @@ def test_element_connection_unit_is_identity(z12):
     n = z12.lattice.size
     assert ec.left.values == tuple(range(n))
     assert ec.right.values == tuple(range(n))
-    assert ec.conn.rel == z12.lattice.leq
+    assert relation(ec).rel == z12.lattice.leq
 
 
 def test_element_connection_examples(z12, frame3):
@@ -145,7 +146,7 @@ def test_element_connection_right_adjoint_matches_search(frame3, b2):
     for q in quantales:
         for e in range(q.lattice.size):
             ec = element_connection(q, e)
-            assert find_right_adjoint(ec.conn).values == ec.right.values, (q, e)
+            assert find_right_adjoint(relation(ec)).values == ec.right.values, (q, e)
 
 
 def test_element_connection_without_right_adjoint_raises(c3):
