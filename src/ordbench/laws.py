@@ -670,12 +670,21 @@ class SearchResult:
         return self.found.render()
 
 
+# LM0 is LF0's row at P's top, and RM0 is RF0's row at Q's bottom (the top
+# of the opposite connection's source): a connection failing the one-row law
+# fails the whole-table law.
+_TOP_ROW_LAW = {"LF0": "LM0", "RF0": "RM0"}
+
+
 class _Verdicts(dict):
     """Law id -> whether it holds on one connection (P, Q, f, g), decided on first read.
 
     A missing key is decided by :func:`_first_failure` and kept, so the
     predicate's short-circuit ``&``/``|`` decides only the laws it reads.
-    The caller has checked that none of them is skipped on the connection.
+    LF0 and RF0 are decided by their top-row law first, and by their own
+    kernel only where it holds, so a predicate costs about the same whichever
+    of the two families it reads first.  The caller has checked that none of
+    the laws read is skipped on the connection, and that P and Q are bounded.
     """
 
     __slots__ = ("connection",)
@@ -684,7 +693,10 @@ class _Verdicts(dict):
         self.connection = connection
 
     def __missing__(self, law_id: str) -> bool:
-        holds = self[law_id] = _first_failure(LAW_TABLE[law_id], *self.connection) is None
+        row = _TOP_ROW_LAW.get(law_id)
+        holds = self[law_id] = (row is None or self[row]) and (
+            _first_failure(LAW_TABLE[law_id], *self.connection) is None
+        )
         return holds
 
 
@@ -706,7 +718,8 @@ def search_counterexample(
     skipped on it; every case has both adjoints, so the hypotheses are
     checked once per ordered pair.  A case is a pair of value tables (f,
     g), and the predicate decides, each by its kernel, only the laws its
-    short-circuit ``&``/``|`` reads; a found case is re-validated as an
+    short-circuit ``&``/``|`` reads, LF0 and RF0 after their rows at the
+    bounds, LM0 and RM0; a found case is re-validated as an
     AdjointConnection and lists every law named, in order, deciding the
     unread ones.  A max_size outside 1 to 8, or 1 to MAX_GENERATED_SIZE
     with generated lattices, raises SizeBoundExceeded before any work.

@@ -604,6 +604,51 @@ def test_search_decides_only_the_laws_it_reads(monkeypatch):
     assert calls == ["LM0", "RM0"]
 
 
+def test_search_verdicts_of_lf0_and_rf0_match_eval_law():
+    """Deciding LF0/RF0 by their top-row law first changes no verdict."""
+    corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= 5]
+    corpus += generated_lattices(4)
+    checked = 0
+    for P, Q in itertools.product(corpus, repeat=2):
+        for ac in enumerate_adjoint_connections(P, Q):
+            verdicts = laws._Verdicts(P, Q, ac.left.values, ac.right.values)
+            for law_id in ("LF0", "RF0"):
+                report = eval_law(law_id, ac)
+                if report.skipped is None:
+                    assert verdicts[law_id] == report.holds, (P.name, Q.name, ac, law_id)
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("predicate", SPELLINGS_7C)
+def test_search_decides_lf0_and_rf0_only_where_their_top_rows_hold(predicate, monkeypatch):
+    """LF0's kernel runs only where LM0 holds, and RF0's only where RM0 holds.
+
+    So every spelling of 7c runs the whole-table kernels on few connections,
+    whichever family it names first.
+    """
+    decided = {}
+    decide = laws._first_failure
+
+    def recording_first_failure(law, P, Q, f, g):
+        failure = decide(law, P, Q, f, g)
+        # a right-hand law runs on the opposite connection; key it by P -> Q
+        key = (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
+        decided[law.id, *key] = failure is None
+        return failure
+
+    monkeypatch.setattr(laws, "_first_failure", recording_first_failure)
+    result = search_counterexample(predicate, 5, modular_only=True, include_generated=True)
+    assert result.found is None
+    whole = 0
+    for (law_id, *key), _ in decided.items():
+        row = {"LF0": "LM0", "RF0": "RM0"}.get(law_id)
+        if row is not None:
+            assert decided[(row, *key)] is True, (law_id, key)
+            whole += 1
+    assert 0 < whole < result.cases
+
+
 def test_suite_lf_counts_all_monotone_maps(c2, c3):
     result = run_suite("lf", [c2, c3])
     expected = sum(
