@@ -24,15 +24,17 @@ search walks the same pairs.  Each suite is stated once, by its line
 function: ``_chain_lines`` for the six theorems, then ``_derivation_lines``,
 ``_modularity_lines`` and ``_composition_lines``.
 
-The suites walk value tables, as search does.  A case is the tables (f, g)
-of a connection: one of the pair's adjoint connections, or for lf and rf a
-monotone map with its other adjoint read in closed form.  Hypotheses are
-checked once per ordered pair, and every law is decided by its kernel
-through ``_first_failure``.  The verdicts on a pair's adjoint connections
-are kept beside their tables, two bits per law in one int per connection,
-so a law that several suites read, or that a composition leg reads, is
-decided once.  A witness is built only for a line that is printed, and no
-report or AdjointConnection at all; the tests state the suites again on
+The suites walk value tables, as search does.  Every case, in the suites
+and in search, is one record ``_Verdicts(P, Q, f, g)``: a connection's value
+tables, None for an absent adjoint, and two verdict bits per law in one int,
+each law decided by its kernel through ``_first_failure`` on first read.
+The pair's cache keeps its adjoint connections' records, which lf and rf
+share on the maps with both adjoints, so a law that several suites or a
+composition leg read is decided once.  Hypotheses are checked once per
+ordered pair.  Only search's record decides LF0 and RF0 after their
+top-row laws LM0 and RM0: the suites check that LF0 implies LM0.  A witness
+is built only for a line that is printed, and no report or
+AdjointConnection at all; the tests state the suites again on
 AdjointConnections and ``eval_law`` reports, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import compress, product, repeat
 from operator import or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PredicateSyntaxError, SizeBoundExceeded, UnknownLaw, UnknownSuite
 from . import posetgen
@@ -441,96 +443,96 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
 
 
 # ---------------------------------------------------------------------------
-# Theorems, and the connections of a pair with their verdicts
-
-
-class _Pair:
-    """The adjoint connections P -> Q as value tables (f, g), ordered by f, with their verdicts.
-
-    ``memo[k]`` holds two bits per law for ``tables[k]``: bit 2i is set once
-    law ``LAW_IDS[i]`` is decided there, and bit 2i+1 when it holds.
-    """
-
-    __slots__ = ("P", "Q", "tables", "memo")
-
-    def __init__(self, P, Q):
-        self.P, self.Q = P, Q
-        self.tables = tuple(_adjoint_tables(P, Q))
-        self.memo = [0] * len(self.tables)
-
-    def holds(self, law_id: str, f, g, k: Optional[int]) -> bool:
-        """Whether a law holds on the connection (f, g): P -> Q, decided once if it is case k."""
-        if k is None:
-            return _first_failure(LAW_TABLE[law_id], self.P, self.Q, f, g) is None
-        shift = _MEMO_SHIFT[law_id]
-        bits = self.memo[k] >> shift & 3
-        if not bits:
-            bits = 3 if _first_failure(LAW_TABLE[law_id], self.P, self.Q, f, g) is None else 1
-            self.memo[k] |= bits << shift
-        return bits == 3
+# Verdict records, and the connections each theorem visits
 
 
 _MEMO_SHIFT = {law_id: 2 * i for i, law_id in enumerate(LAW_IDS)}
 
 
+class _Verdicts:
+    """The verdicts on one connection (P, Q, f, g): P -> Q, each decided on its first read.
+
+    ``f`` and ``g`` are the value tables of the left and right adjoint, None
+    where that adjoint is absent.  ``record[law_id]`` decides a law by its
+    kernel, through :func:`_first_failure`, and keeps it in ``bits``: bit 2i
+    is set once law ``LAW_IDS[i]`` is decided, and bit 2i+1 when it holds.
+    The reader has checked that the law is not skipped on the connection.
+    ``_first`` maps a law to a law it implies, read before it: where that
+    law fails, so does this one, with no run of its own kernel.
+    """
+
+    __slots__ = ("P", "Q", "f", "g", "bits")
+    _first: dict[str, str] = {}
+
+    def __init__(self, P, Q, f, g):
+        self.P, self.Q, self.f, self.g = P, Q, f, g
+        self.bits = 0
+
+    def __getitem__(self, law_id: str) -> bool:
+        shift = _MEMO_SHIFT[law_id]
+        bits = self.bits >> shift & 3
+        if not bits:
+            first = self._first.get(law_id)
+            holds = (first is None or self[first]) and _first_failure(
+                LAW_TABLE[law_id], self.P, self.Q, self.f, self.g
+            ) is None
+            bits = 3 if holds else 1
+            self.bits |= bits << shift
+        return bits == 3
+
+    def describe(self) -> str:
+        return f"P={self.P.name} Q={self.Q.name} left={self.f} right={self.g}"
+
+    def rendered_witness(self, law_id: str) -> str:
+        """The witness of a law that fails here, as its report prints it."""
+        law, P, Q = LAW_TABLE[law_id], self.P, self.Q
+        return _witness(law, P, Q, *_first_failure(law, P, Q, self.f, self.g)).render()
+
+
 # The suites re-read pairs, so each pair is walked once, behind this cache,
-# and its verdicts are kept with its tables.  They are the verdicts of the
-# kernels in LAW_TABLE when first read.  Search walks each pair's tables
-# once and keeps nothing.
+# and each adjoint connection keeps its verdicts in its record.  They are
+# the verdicts of the kernels in LAW_TABLE when first read.  Search walks
+# each pair's tables once and keeps nothing.
 @lru_cache(maxsize=None)
-def _adjoint_connections(P, Q) -> _Pair:
-    return _Pair(P, Q)
+def _adjoint_connections(P, Q) -> tuple[_Verdicts, ...]:
+    """Every adjoint connection P -> Q, as its record, ordered by f."""
+    return tuple(_Verdicts(P, Q, f, g) for f, g in _adjoint_tables(P, Q))
 
 
-# The connections a theorem visits on a pair, each as (f, g, k): the value
-# tables of its left and right adjoint (None where absent) and, when both
-# exist, its case k among the pair's adjoint connections.
-def _adjoint_cases(pair: _Pair):
-    """Every adjoint connection P -> Q."""
-    return ((f, g, k) for k, (f, g) in enumerate(pair.tables))
-
-
-def _left_cases(pair: _Pair):
+def _left_cases(P, Q):
     """Every left adjoint connection P -> Q, one per monotone map.
 
     The maps with a right adjoint are the pair's adjoint connections, in
-    the same order.
+    the same order, and yield their records.
     """
-    right, k = _right_adjoints(pair.P, pair.Q), 0
-    for m in monotone_maps(pair.P, pair.Q):
-        g = right(m.values)
-        if g is None:
-            yield m.values, None, None
-        else:
-            yield m.values, g, k
-            k += 1
+    right, adjoint = _right_adjoints(P, Q), iter(_adjoint_connections(P, Q))
+    for m in monotone_maps(P, Q):
+        yield _Verdicts(P, Q, m.values, None) if right(m.values) is None else next(adjoint)
 
 
-def _right_cases(pair: _Pair):
+def _right_cases(P, Q):
     """Every right adjoint connection P -> Q, one per monotone map Q -> P.
 
     The maps with a left adjoint are the pair's adjoint connections, ordered
-    by their right adjoints.
+    by their right adjoints, and yield their records.
     """
-    P, Q, tables = pair.P, pair.Q, pair.tables
     left = _right_adjoints(Q.op, P.op)
-    by_right = iter(sorted(range(len(tables)), key=lambda k: tables[k][1]))
+    adjoint = iter(sorted(_adjoint_connections(P, Q), key=lambda v: v.g))
     for m in monotone_maps(Q, P):
-        f = left(m.values)
-        yield f, m.values, None if f is None else next(by_right)
+        yield _Verdicts(P, Q, None, m.values) if left(m.values) is None else next(adjoint)
 
 
 # theorem -> (connections its suite visits, chain of laws that must agree
 # wherever they are not skipped)
 THEOREMS = {
     # LM1/LM2/LM3 agree, and LM0 joins the chain when P has a top.
-    "lm": (_adjoint_cases, ("LM1", "LM2", "LM3", "LM0")),
+    "lm": (_adjoint_connections, ("LM1", "LM2", "LM3", "LM0")),
     # RM1/RM2/RM3 agree, and RM0 joins the chain when Q has a bottom.
-    "rm": (_adjoint_cases, ("RM1", "RM2", "RM3", "RM0")),
+    "rm": (_adjoint_connections, ("RM1", "RM2", "RM3", "RM0")),
     # RM0/RM4/RM5 agree; RM4 and RM5 need P's binary joins and Q's bottom.
-    "rm045": (_adjoint_cases, ("RM0", "RM4", "RM5")),
+    "rm045": (_adjoint_connections, ("RM0", "RM4", "RM5")),
     # LM0/LM4/LM5 agree; LM4 and LM5 need P's top and Q's binary meets.
-    "lm045": (_adjoint_cases, ("LM0", "LM4", "LM5")),
+    "lm045": (_adjoint_connections, ("LM0", "LM4", "LM5")),
     # LF1/LF2 agree on any left adjoint; LF0 joins when both adjoints and meets exist.
     "lf": (_left_cases, ("LF1", "LF2", "LF0")),
     # RF1/RF2 agree on any right adjoint; RF0 joins when both adjoints and joins exist.
@@ -548,9 +550,14 @@ class Predicate:
 
     text: str
     laws: tuple[str, ...]
-    _eval: Callable[[dict], bool]
+    _eval: Callable[[_Verdicts | Mapping[str, bool]], bool]
 
-    def evaluate(self, values: dict[str, bool]) -> bool:
+    def evaluate(self, values: _Verdicts | Mapping[str, bool]) -> bool:
+        """Whether the predicate holds, reading each law it reaches as ``values[law_id]``.
+
+        ``values`` is any lookup from law id to bool: a search case's verdict
+        record, which decides a law on its first read, or a plain dict.
+        """
         return self._eval(values)
 
 
@@ -670,34 +677,20 @@ class SearchResult:
         return self.found.render()
 
 
-# LM0 is LF0's row at P's top, and RM0 is RF0's row at Q's bottom (the top
-# of the opposite connection's source): a connection failing the one-row law
-# fails the whole-table law.
-_TOP_ROW_LAW = {"LF0": "LM0", "RF0": "RM0"}
+class _SearchVerdicts(_Verdicts):
+    """A search case's record, which decides LF0 and RF0 by their top-row law first.
 
-
-class _Verdicts(dict):
-    """Law id -> whether it holds on one connection (P, Q, f, g), decided on first read.
-
-    A missing key is decided by :func:`_first_failure` and kept, so the
-    predicate's short-circuit ``&``/``|`` decides only the laws it reads.
-    LF0 and RF0 are decided by their top-row law first, and by their own
-    kernel only where it holds, so a predicate costs about the same whichever
-    of the two families it reads first.  The caller has checked that none of
-    the laws read is skipped on the connection, and that P and Q are bounded.
+    Their own kernel runs only where the row law holds, so a predicate costs
+    about the same whichever of the two families it reads first.  The search
+    visits bounded lattices only, so LM0 and RM0 are never skipped.  The
+    suites keep the plain record: there LF0 => LM0 and RF0 => RM0 are checked
+    (``derivations``), and this rule would make them hold by construction.
     """
 
-    __slots__ = ("connection",)
-
-    def __init__(self, *connection):
-        self.connection = connection
-
-    def __missing__(self, law_id: str) -> bool:
-        row = _TOP_ROW_LAW.get(law_id)
-        holds = self[law_id] = (row is None or self[row]) and (
-            _first_failure(LAW_TABLE[law_id], *self.connection) is None
-        )
-        return holds
+    __slots__ = ()
+    # LM0 is LF0's row at P's top, and RM0 is RF0's row at Q's bottom (the
+    # top of the opposite connection's source).
+    _first = {"LF0": "LM0", "RF0": "RM0"}
 
 
 def search_counterexample(
@@ -744,7 +737,7 @@ def search_counterexample(
             continue
         for f, g in _adjoint_tables(P, Q):
             cases += 1
-            values = _Verdicts(P, Q, f, g)
+            values = _SearchVerdicts(P, Q, f, g)
             if predicate.evaluate(values):
                 ac = AdjointConnection(MonotoneMap(P, Q, f), MonotoneMap(Q, P, g))
                 verdicts = tuple((law_id, values[law_id]) for law_id in predicate.laws)
@@ -773,10 +766,6 @@ class SuiteResult:
         return [head, *self.details]
 
 
-def _describe(P, Q, f, g) -> str:
-    return f"P={P.name} Q={Q.name} left={f} right={g}"
-
-
 def _skipped(law_ids, P, Q, left=True, right=True) -> bool:
     """Whether P -> Q, with or without each adjoint, misses a hypothesis of one of the laws."""
     return any(
@@ -785,32 +774,25 @@ def _skipped(law_ids, P, Q, left=True, right=True) -> bool:
     )
 
 
-def _rendered_witness(law_id, P, Q, f, g) -> str:
-    """The witness of a law that fails on (f, g), as its report prints it."""
-    law = LAW_TABLE[law_id]
-    return _witness(law, P, Q, *_first_failure(law, P, Q, f, g)).render()
-
-
 # The failure lines of each case of a unit, one tuple or list per case.
 
 
 def _chain_lines(theorem: str, P, Q):
     """The chain's truth vector, when its laws disagree on a connection the theorem visits."""
     cases, chain = THEOREMS[theorem]
-    pair = _adjoint_connections(P, Q)
     # per presence of (left, right): whether each law is skipped
     skips = {
         adjoints: [_skipped((law_id,), P, Q, *adjoints) for law_id in chain]
         for adjoints in ((True, True), (True, False), (False, True))
     }
-    for f, g, k in cases(pair):
+    for v in cases(P, Q):
         values = [
-            None if skip else pair.holds(law_id, f, g, k)
-            for law_id, skip in zip(chain, skips[f is not None, g is not None])
+            None if skip else v[law_id]
+            for law_id, skip in zip(chain, skips[v.f is not None, v.g is not None])
         ]
         if True in values and False in values:
             vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(chain, values))
-            yield (f"{_describe(P, Q, f, g)} {vector}",)
+            yield (f"{v.describe()} {vector}",)
         else:
             yield ()
 
@@ -821,19 +803,17 @@ _DERIVATIONS = {"RF0=>RM0": ("RF0", "RM0"), "LF0=>LM0": ("LF0", "LM0")}
 
 def _derivation_lines(P, Q):
     """Each derivation whose antecedent holds and consequent fails, with the latter's witness."""
-    pair = _adjoint_connections(P, Q)
     checks = [(name, laws) for name, laws in _DERIVATIONS.items() if not _skipped(laws, P, Q)]
-    for k, (f, g) in enumerate(pair.tables):
+    for v in _adjoint_connections(P, Q):
         yield [
-            f"{_describe(P, Q, f, g)} {name}: {_rendered_witness(consequent, P, Q, f, g)}"
+            f"{v.describe()} {name}: {v.rendered_witness(consequent)}"
             for name, (antecedent, consequent) in checks
-            if pair.holds(antecedent, f, g, k) and not pair.holds(consequent, f, g, k)
+            if v[antecedent] and not v[consequent]
         ]
 
 
 def _modularity_lines(P, Q):
     """Each modularity biconditional, under its hypothesis, whose two sides disagree."""
-    pair = _adjoint_connections(P, Q)
     forms = []
     if P.is_lattice and P.is_bounded and Q.is_lattice and Q.is_bounded:
         if P.is_modular:
@@ -843,13 +823,13 @@ def _modularity_lines(P, Q):
         if P.is_modular and Q.is_modular:
             forms.append(("LM0&RM0<=>LF0&RF0[both modular]", ("LM0", "RM0"), ("LF0", "RF0")))
     forms = [(name, lhs, lhs + rhs) for name, lhs, rhs in forms if not _skipped(lhs + rhs, P, Q)]
-    for k, (f, g) in enumerate(pair.tables):
+    for v in _adjoint_connections(P, Q):
         lines = []
         for name, lhs, laws in forms:
-            values = [pair.holds(law_id, f, g, k) for law_id in laws]
+            values = [v[law_id] for law_id in laws]
             if all(values[:len(lhs)]) != all(values[len(lhs):]):
                 vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(laws, values))
-                lines.append(f"{_describe(P, Q, f, g)} {name}: {vector}")
+                lines.append(f"{v.describe()} {name}: {vector}")
         yield lines
 
 
@@ -857,10 +837,10 @@ def _composable(lattices):
     """Each triple P -> Q -> S with adjoint connections on both legs."""
     for P in lattices:
         for Q in lattices:
-            if not _adjoint_connections(P, Q).tables:
+            if not _adjoint_connections(P, Q):
                 continue
             for S in lattices:
-                if _adjoint_connections(Q, S).tables:
+                if _adjoint_connections(Q, S):
                     yield P, Q, S
 
 
@@ -870,28 +850,26 @@ def _composition_lines(P, Q, S):
     The composite's tables are read through the legs' tables and checked
     by unit and counit, as an AdjointConnection is, once a law needs them.
     """
-    first, second = _adjoint_connections(P, Q), _adjoint_connections(Q, S)
     laws = [
         (law_id, _skipped((law_id,), P, Q) or _skipped((law_id,), Q, S), _skipped((law_id,), P, S))
         for law_id in ("LF0", "RF0")
     ]
-    for i, (fr, gr) in enumerate(first.tables):
-        for j, (fs, gs) in enumerate(second.tables):
+    for r in _adjoint_connections(P, Q):
+        for s in _adjoint_connections(Q, S):
             composite = None
             for law_id, legs_skipped, skipped in laws:
-                if legs_skipped or not (
-                    first.holds(law_id, fr, gr, i) and second.holds(law_id, fs, gs, j)
-                ):
+                if legs_skipped or not (r[law_id] and s[law_id]):
                     yield ()
                     continue
                 if composite is None:
-                    composite = tuple(map(fs.__getitem__, fr)), tuple(map(gr.__getitem__, gs))
-                    _check_adjoint(P, S, *composite)
-                if skipped or _first_failure(LAW_TABLE[law_id], P, S, *composite) is None:
+                    f, g = tuple(map(s.f.__getitem__, r.f)), tuple(map(r.g.__getitem__, s.g))
+                    _check_adjoint(P, S, f, g)
+                    composite = _Verdicts(P, S, f, g)
+                if skipped or composite[law_id]:
                     yield ()
                 else:
-                    witness = _rendered_witness(law_id, P, S, *composite)
-                    legs = f"{_describe(P, Q, fr, gr)} ; {_describe(Q, S, fs, gs)}"
+                    witness = composite.rendered_witness(law_id)
+                    legs = f"{r.describe()} ; {s.describe()}"
                     yield (f"{legs} {law_id} stable under composition: {witness}",)
 
 

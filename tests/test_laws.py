@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -604,20 +605,36 @@ def test_search_decides_only_the_laws_it_reads(monkeypatch):
     assert calls == ["LM0", "RM0"]
 
 
-def test_search_verdicts_of_lf0_and_rf0_match_eval_law():
-    """Deciding LF0/RF0 by their top-row law first changes no verdict."""
-    corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= 5]
-    corpus += generated_lattices(4)
-    checked = 0
+def _lf0_rf0_verdicts(record, corpus):
+    """(verdicts read, verdicts unlike eval_law's) of LF0 and RF0 from one record type."""
+    checked = mismatched = 0
     for P, Q in itertools.product(corpus, repeat=2):
         for ac in enumerate_adjoint_connections(P, Q):
-            verdicts = laws._Verdicts(P, Q, ac.left.values, ac.right.values)
+            verdicts = record(P, Q, ac.left.values, ac.right.values)
             for law_id in ("LF0", "RF0"):
                 report = eval_law(law_id, ac)
                 if report.skipped is None:
-                    assert verdicts[law_id] == report.holds, (P.name, Q.name, ac, law_id)
                     checked += 1
-    assert checked > 1000
+                    mismatched += verdicts[law_id] != report.holds
+    return checked, mismatched
+
+
+def test_search_verdicts_of_lf0_and_rf0_match_eval_law(monkeypatch):
+    """Deciding LF0/RF0 by their top-row law first changes no verdict.
+
+    Only the search's record reads the top-row laws: with LM0 and RM0 made
+    to fail everywhere, the suites' record still decides LF0 and RF0 as
+    eval_law does, and the search's no longer does.
+    """
+    corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= 5]
+    corpus += generated_lattices(4)
+    checked, mismatched = _lf0_rf0_verdicts(laws._SearchVerdicts, corpus)
+    assert checked > 1000 and mismatched == 0
+    for law_id in ("LM0", "RM0"):
+        failing = replace(LAW_TABLE[law_id], first_failure=lambda P, Q, f, g: ((0,), 0, None))
+        monkeypatch.setitem(LAW_TABLE, law_id, failing)
+    assert _lf0_rf0_verdicts(laws._Verdicts, corpus) == (checked, 0)
+    assert _lf0_rf0_verdicts(laws._SearchVerdicts, corpus)[1] > 0
 
 
 @pytest.mark.parametrize("predicate", SPELLINGS_7C)

@@ -164,17 +164,20 @@ def test_verdict_memo_cannot_change_a_report(fresh_verdicts):
     assert alone == in_order and reverse == in_order
 
 
-def test_one_sided_cases_index_the_pair_memo(bare_posets):
-    """The lf/rf cases with both adjoints are the pair's adjoint connections, each once."""
+def test_one_sided_cases_share_the_pair_records(bare_posets):
+    """The lf/rf cases with both adjoints are the pair's own records, each once.
+
+    A case with one adjoint is a fresh record with None on its absent side:
+    an lf case lacks its right adjoint, an rf case its left one.
+    """
     corpus = catalog()[:8] + list(bare_posets) + list(generated_lattices(4))
     for P, Q in product(corpus, repeat=2):
-        pair = laws._adjoint_connections(P, Q)
-        for cases in (laws._left_cases, laws._right_cases):
-            indexed = []
-            for f, g, k in cases(pair):
-                if k is None:
-                    assert f is None or g is None
+        records = laws._adjoint_connections(P, Q)
+        for cases, absent in ((laws._left_cases, "g"), (laws._right_cases, "f")):
+            shared = Counter()
+            for v in cases(P, Q):
+                if any(v is record for record in records):
+                    shared[id(v)] += 1
                 else:
-                    assert pair.tables[k] == (f, g)
-                    indexed.append(k)
-            assert sorted(indexed) == list(range(len(pair.tables))), (P.name, Q.name, cases)
+                    assert (v.f is None, v.g is None) == (absent == "f", absent == "g")
+            assert shared == Counter(map(id, records)), (P.name, Q.name, cases)
