@@ -29,7 +29,8 @@ and in search, is one record ``_Verdicts(P, Q, f, g)``: a connection's value
 tables, None for an absent adjoint, and two verdict bits per law in one int,
 each law decided by its kernel through ``_first_failure`` on first read.
 The pair's cache keeps its adjoint connections' records, which lf and rf
-share on the maps with both adjoints, so a law that several suites or a
+look up by a monotone map's table and share on the maps with both
+adjoints, with no adjoint computed, so a law that several suites or a
 composition leg read is decided once.  Hypotheses are checked once per
 ordered pair.  Only search's record decides LF0 and RF0 after their
 top-row laws LM0 and RM0: the suites check that LF0 implies LM0.  A witness
@@ -39,20 +40,23 @@ AdjointConnections and ``eval_law`` reports, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
-pass over the tables that returns the first failing case in that order.
-LF0 compares whole rows of meets and looks for the failing cell only in a
-row that differs; LM1, LF1 and LF2 compare int masks of Q's down-sets with
-masks of f's images; the other laws are nested loops with no call per
-case.  Each law is stated here once, by its kernel.  The tests state every
-law again case by case in ``tests/oracles.py``, as the kernels' oracle, and
+pass over the tables, a generator that yields every failing case, with its
+two sides, in ascending order of the law's variables.  LF0 compares whole
+rows of meets and compares cells only in a row that differs; LM1, LF1 and
+LF2 compare int masks of Q's down-sets with masks of f's images and yield
+each missing bit; the other laws are nested loops with no call per case.
+Each law is stated here once, by its kernel.  The tests state every law
+again case by case in ``tests/oracles.py``, as the kernels' oracle, and
 recheck witnesses there.
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
-on the opposite connection Q.op -> P.op between the cached duals, whose left
-adjoint is g and whose right adjoint is f; ``_first_failure``, which
-decides every law, hands a kernel either connection.  A right-hand law's
-table entry renames the variables, visits them in its own order where the
-two laws list them differently, and swaps the two sides of an inequality.
+by the same kernel on the opposite connection Q.op -> P.op between the
+cached duals, whose left adjoint is g and whose right adjoint is f.
+``_first_failure``, which decides every law, hands the kernel either
+connection and takes its first failure; for RM2, RM5 and RF0, whose two
+variables are the base law's in reverse, it takes the failure that comes
+first in that order.  A right-hand law's table entry renames the variables
+and swaps the two sides of an inequality.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import PredicateSyntaxError, SizeBoundExceeded, UnknownLaw, UnknownSuite
 from . import posetgen
 from .lattice import FiniteLattice, MonotoneMap, catalog, monotone_maps
-from .connection import AdjointConnection, _adjoint_tables, _check_adjoint, _right_adjoints
+from .connection import AdjointConnection, _adjoint_tables, _check_adjoint
 
 LAW_IDS = (
     "LM0", "LM1", "LM2", "LM3", "LM4", "LM5",
@@ -132,11 +136,13 @@ class LawReport:
 
 @dataclass(frozen=True)
 class _LawDef:
+    """A law: its variables, its hypotheses, and its kernel or its base law's."""
+
     id: str
     vars: tuple[str, ...]
     var_sides: str  # "P"/"Q" per case entry: the evaluated connection's poset
     requires: tuple[str, ...]  # hypotheses, in the order their skip reasons are tried
-    first_failure: Callable  # (P, Q, f, g) -> first failing (case, lhs, rhs), or None
+    failures: Callable  # (P, Q, f, g) -> every failing (case, lhs, rhs), in ascending case order
     opposite: bool = False  # evaluated on the opposite connection Q.op -> P.op
     reverse: bool = False  # a case lists the law's variables in reverse order
     swap: bool = False  # a case's (lhs, rhs) are the law's (rhs, lhs)
@@ -172,8 +178,15 @@ def _tables(ac: AdjointConnection):
 
 
 def _first_failure(law: _LawDef, P, Q, f, g):
-    """A law's first failing (case, lhs, rhs) on (P, Q, f, g), whose hypotheses hold, or None."""
-    return law.first_failure(Q.op, P.op, g, f) if law.opposite else law.first_failure(P, Q, f, g)
+    """A law's first failing (case, lhs, rhs) on (P, Q, f, g), whose hypotheses hold, or None.
+
+    First in the order of the law's own variables: a ``reverse`` law's are
+    its kernel's in reverse.
+    """
+    failures = law.failures(Q.op, P.op, g, f) if law.opposite else law.failures(P, Q, f, g)
+    if law.reverse:
+        return min(failures, key=lambda x: x[0][::-1], default=None)
+    return next(failures, None)
 
 
 def _low_bit(mask: int) -> int:
@@ -181,21 +194,20 @@ def _low_bit(mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The law table.  Each left-hand law has a kernel that returns its first
-# failing case (case, lhs, rhs), visiting the assignments in ascending index
-# order, or None.  Each right-hand law is a left-hand law evaluated on the
-# opposite connection.  The tests keep a case-by-case check of every law as
-# the kernels' oracle.
+# The law table.  Each left-hand law has a kernel that yields every failing
+# case (case, lhs, rhs), visiting the assignments in ascending index order.
+# Each right-hand law is a left-hand law evaluated on the opposite
+# connection, by the same kernel.  The tests keep a case-by-case check of
+# every law as the kernels' oracle.
 
 
-def _lm0_first_failure(P, Q, f, g):
+def _lm0_failures(P, Q, f, g):
     meetQ = Q.meet
     ftop = f[P.top]
     for y in range(Q.size):
         lhs, rhs = f[g[y]], meetQ[y][ftop]
         if lhs != rhs:
-            return (y,), lhs, rhs
-    return None
+            yield (y,), lhs, rhs
 
 
 def _image_masks(P, f):
@@ -226,30 +238,29 @@ def _down_image_masks(P, f) -> list[int]:
     return masks
 
 
-def _first_missing_image(images, P, Q, f, g):
+def _missing_images(images, P, Q, f, g):
     # The kernel of LM1 (images: f's whole image) and LF1 (the image of
     # b's down-set): case (b, c) with c <= f(b) fails when c is not in b's image.
     down = Q.down_masks
     for b, (y, image) in enumerate(zip(f, images(P, f))):
         missing = down[y] & ~image
-        if missing:
+        while missing:
             c = _low_bit(missing)
-            return (b, c), c, None
-    return None
+            yield (b, c), c, None
+            missing &= missing - 1
 
 
-def _lm2_first_failure(P, Q, f, g):
+def _lm2_failures(P, Q, f, g):
     m, leqQ, meetQ = Q.size, Q.leq, Q.meet
     fg = tuple(map(f.__getitem__, g))
     for c in range(m):
         above, meet_c, lhs = leqQ[c], meetQ[c], fg[c]
         for d in range(m):
             if above[d] and meet_c[fg[d]] != lhs:
-                return (c, d), lhs, meet_c[fg[d]]
-    return None
+                yield (c, d), lhs, meet_c[fg[d]]
 
 
-def _lm3_first_failure(P, Q, f, g):
+def _lm3_failures(P, Q, f, g):
     m, meetQ = Q.size, Q.meet
     fg = tuple(map(f.__getitem__, g))
     for c in range(m):
@@ -257,8 +268,7 @@ def _lm3_first_failure(P, Q, f, g):
         for d in range(m):
             k = meet_c[d]
             if k is not None and fg[k] != meet_c[fg[d]]:
-                return (c, d), fg[k], meet_c[fg[d]]
-    return None
+                yield (c, d), fg[k], meet_c[fg[d]]
 
 
 def _meets_with_ftop(P, Q, f):
@@ -267,123 +277,79 @@ def _meets_with_ftop(P, Q, f):
     return [row[ftop] for row in Q.meet]
 
 
-def _lm4_first_failure(P, Q, f, g):
+def _lm4_failures(P, Q, f, g):
     m, low = Q.size, _meets_with_ftop(P, Q, f)
     for c in range(m):
         for d in range(m):
             if g[c] == g[d] and low[c] != low[d]:
-                return (c, d), low[c], low[d]
-    return None
+                yield (c, d), low[c], low[d]
 
 
-def _lm5_first_failure(P, Q, f, g):
+def _lm5_failures(P, Q, f, g):
     m, leqP, leqQ, low = Q.size, P.leq, Q.leq, _meets_with_ftop(P, Q, f)
     for c in range(m):
         below_g, above_low = leqP[g[c]], leqQ[low[c]]
         for d in range(m):
             if below_g[g[d]] and not above_low[d]:
-                return (c, d), low[c], d
-    return None
+                yield (c, d), low[c], d
 
 
-def _lf0_first_failure(P, Q, f, g):
+def _lf0_failures(P, Q, f, g):
     # Row b holds c ^ f(b) and f(g(c) ^ b) for every c; meets commute, so
     # the first is row f(b) of Q's meet table, and the second reads row b
-    # of P's.  A cell is sought only in a row that differs.
+    # of P's.  Cells are compared only in a row that differs.
     meetP, meetQ = P.meet, Q.meet
     at_f = f.__getitem__
     for b in range(P.size):
         lhs = meetQ[f[b]]
         rhs = tuple(map(at_f, map(meetP[b].__getitem__, g)))
         if lhs != rhs:
-            c = next(c for c in range(Q.size) if lhs[c] != rhs[c])
-            return (b, c), lhs[c], rhs[c]
-    return None
+            for c in range(Q.size):
+                if lhs[c] != rhs[c]:
+                    yield (b, c), lhs[c], rhs[c]
 
 
-def _lf2_first_failure(P, Q, f, g):
+def _lf2_failures(P, Q, f, g):
     # Case (a, b, c) with b <= a and c <= f(b) fails when c is no f(x) with x <= a.
     n, leqP, down, images = P.size, P.leq, Q.down_masks, _down_image_masks(P, f)
     for a in range(n):
         for b in range(n):
             if leqP[b][a]:
                 missing = down[f[b]] & ~images[a]
-                if missing:
+                while missing:
                     c = _low_bit(missing)
-                    return (a, b, c), c, None
-    return None
+                    yield (a, b, c), c, None
+                    missing &= missing - 1
 
 
 LAW_TABLE = {
     law.id: law
     for law in (
-        _LawDef("LM0", ("y",), "Q", ("left", "right", "topP"), _lm0_first_failure),
-        _LawDef("LM1", ("b", "c"), "PQ", ("left", "right"),
-                partial(_first_missing_image, _image_masks)),
-        _LawDef("LM2", ("c", "d"), "QQ", ("left", "right"), _lm2_first_failure),
-        _LawDef("LM3", ("c", "d"), "QQ", ("left", "right"), _lm3_first_failure),
-        _LawDef("LM4", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm4_first_failure),
-        _LawDef("LM5", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm5_first_failure),
-        _LawDef("LF0", ("b", "c"), "PQ", ("left", "right", "meetsP", "meetsQ"), _lf0_first_failure),
-        _LawDef("LF1", ("b", "c"), "PQ", ("left",),
-                partial(_first_missing_image, _down_image_masks)),
-        _LawDef("LF2", ("a", "b", "c"), "PPQ", ("left",), _lf2_first_failure),
+        _LawDef("LM0", ("y",), "Q", ("left", "right", "topP"), _lm0_failures),
+        _LawDef("LM1", ("b", "c"), "PQ", ("left", "right"), partial(_missing_images, _image_masks)),
+        _LawDef("LM2", ("c", "d"), "QQ", ("left", "right"), _lm2_failures),
+        _LawDef("LM3", ("c", "d"), "QQ", ("left", "right"), _lm3_failures),
+        _LawDef("LM4", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm4_failures),
+        _LawDef("LM5", ("c", "d"), "QQ", ("left", "right", "topP", "meetsQ"), _lm5_failures),
+        _LawDef("LF0", ("b", "c"), "PQ", ("left", "right", "meetsP", "meetsQ"), _lf0_failures),
+        _LawDef("LF1", ("b", "c"), "PQ", ("left",), partial(_missing_images, _down_image_masks)),
+        _LawDef("LF2", ("a", "b", "c"), "PPQ", ("left",), _lf2_failures),
     )
 }
 
 
-def _opposite_law(law_id, base_id, vars_, requires, reorder=None, swap=False):
-    """Law ``law_id`` as law ``base_id`` read on the opposite connection.
+def _opposite_law(law_id, base_id, vars_, requires, reverse=False, swap=False):
+    """Law ``law_id`` as law ``base_id`` read on the opposite connection, by its kernel.
 
     The variables are the base law's, renamed; ``requires`` is the law's
-    own, so skip reasons name the law's own posets and adjoints.  A law
-    whose two variables are the base law's in reverse passes ``reorder``, a
-    kernel that visits the base law's assignments in this law's
-    lexicographic order.  ``swap`` marks a base inequality, which reverses:
-    its lhs is this law's rhs.
+    own, so skip reasons name the law's own posets and adjoints.
+    ``reverse`` marks a law whose two variables are the base law's in
+    reverse: its witness is the base law's failure that comes first in this
+    law's lexicographic order.  ``swap`` marks a base inequality, which
+    reverses: its lhs is this law's rhs.
     """
     base = LAW_TABLE[base_id]
-    return _LawDef(law_id, vars_, base.var_sides, requires, reorder or base.first_failure,
-                   True, reorder is not None, swap)
-
-
-# Kernels visiting a base law's assignments in the lexicographic order of its
-# variables reversed, which is the order of the right-hand law's own
-# variables: RM2 and RM5 at (a, b) are LM2 and LM5 at c=b, d=a; RF0 at (a, c)
-# is LF0 at b=c, c=a.
-def _lm2_first_failure_reversed(P, Q, f, g):
-    m, leqQ, meetQ = Q.size, Q.leq, Q.meet
-    fg = tuple(map(f.__getitem__, g))
-    for d in range(m):
-        fgd = fg[d]
-        for c in range(m):
-            if leqQ[c][d] and meetQ[c][fgd] != fg[c]:
-                return (c, d), fg[c], meetQ[c][fgd]
-    return None
-
-
-def _lm5_first_failure_reversed(P, Q, f, g):
-    m, leqP, leqQ, low = Q.size, P.leq, Q.leq, _meets_with_ftop(P, Q, f)
-    for d in range(m):
-        gd = g[d]
-        for c in range(m):
-            if leqP[g[c]][gd] and not leqQ[low[c]][d]:
-                return (c, d), low[c], d
-    return None
-
-
-def _lf0_first_failure_reversed(P, Q, f, g):
-    # Column c holds c ^ f(b) and f(g(c) ^ b) for every b: f read through
-    # row c of Q's meet table, and row g(c) of P's read through f.
-    meetP, meetQ = P.meet, Q.meet
-    at_f = f.__getitem__
-    for c in range(Q.size):
-        lhs = tuple(map(meetQ[c].__getitem__, f))
-        rhs = tuple(map(at_f, meetP[g[c]]))
-        if lhs != rhs:
-            b = next(b for b in range(P.size) if lhs[b] != rhs[b])
-            return (b, c), lhs[b], rhs[b]
-    return None
+    return _LawDef(law_id, vars_, base.var_sides, requires, base.failures, True, reverse, swap)
 
 
 LAW_TABLE.update(
@@ -391,14 +357,12 @@ LAW_TABLE.update(
     for law in (
         _opposite_law("RM0", "LM0", ("x",), ("left", "right", "botQ")),
         _opposite_law("RM1", "LM1", ("c", "b"), ("left", "right")),
-        _opposite_law("RM2", "LM2", ("a", "b"), ("left", "right"),
-                      reorder=_lm2_first_failure_reversed),
+        _opposite_law("RM2", "LM2", ("a", "b"), ("left", "right"), reverse=True),
         _opposite_law("RM3", "LM3", ("a", "b"), ("left", "right")),
         _opposite_law("RM4", "LM4", ("a", "b"), ("left", "right", "joinsP", "botQ")),
         _opposite_law("RM5", "LM5", ("a", "b"), ("left", "right", "joinsP", "botQ"),
-                      reorder=_lm5_first_failure_reversed, swap=True),
-        _opposite_law("RF0", "LF0", ("a", "c"), ("left", "right", "joinsP", "joinsQ"),
-                      reorder=_lf0_first_failure_reversed),
+                      reverse=True, swap=True),
+        _opposite_law("RF0", "LF0", ("a", "c"), ("left", "right", "joinsP", "joinsQ"), reverse=True),
         _opposite_law("RF1", "LF1", ("c", "b"), ("right",)),
         _opposite_law("RF2", "LF2", ("c", "d", "b"), ("right",)),
     )
@@ -502,24 +466,23 @@ def _adjoint_connections(P, Q) -> tuple[_Verdicts, ...]:
 def _left_cases(P, Q):
     """Every left adjoint connection P -> Q, one per monotone map.
 
-    The maps with a right adjoint are the pair's adjoint connections, in
-    the same order, and yield their records.
+    A map with a right adjoint is the left map of one of the pair's adjoint
+    connections, all of which :func:`_adjoint_tables` yields, and is its record.
     """
-    right, adjoint = _right_adjoints(P, Q), iter(_adjoint_connections(P, Q))
+    records = {v.f: v for v in _adjoint_connections(P, Q)}
     for m in monotone_maps(P, Q):
-        yield _Verdicts(P, Q, m.values, None) if right(m.values) is None else next(adjoint)
+        yield records.get(m.values) or _Verdicts(P, Q, m.values, None)
 
 
 def _right_cases(P, Q):
     """Every right adjoint connection P -> Q, one per monotone map Q -> P.
 
-    The maps with a left adjoint are the pair's adjoint connections, ordered
-    by their right adjoints, and yield their records.
+    A map with a left adjoint is the right map of one of the pair's adjoint
+    connections, and is its record.
     """
-    left = _right_adjoints(Q.op, P.op)
-    adjoint = iter(sorted(_adjoint_connections(P, Q), key=lambda v: v.g))
+    records = {v.g: v for v in _adjoint_connections(P, Q)}
     for m in monotone_maps(Q, P):
-        yield _Verdicts(P, Q, None, m.values) if left(m.values) is None else next(adjoint)
+        yield records.get(m.values) or _Verdicts(P, Q, None, m.values)
 
 
 # theorem -> (connections its suite visits, chain of laws that must agree

@@ -334,18 +334,44 @@ CHECKS = {
 }
 
 
-def _operands(law, ac):
+def operands(law, ac):
     """The (P, Q, f, g) a law's cases range over on ac: the opposite connection's for RMk/RFk."""
     P, Q, f, g = laws._tables(ac)
     return (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
+
+
+def _base_cases(law_id, P, Q, f, g):
+    """The cases of a law's base law on (P, Q, f, g), in ascending order of its variables."""
+    ctx = SimpleNamespace(
+        n=P.size, m=Q.size, leqP=P.leq, leqQ=Q.leq, meetQ=Q.meet, f=f, g=g,
+    )
+    return BASE_CASES[law_id[1:]](ctx)
 
 
 def recheck_witness(law_id, ac, witness):
     """Re-run a law's formula at a reported witness; returns (ok, lhs, rhs)."""
     law = laws._law(law_id)
     case = witness.indices[::-1] if law.reverse else witness.indices
-    ok, lhs, rhs = CHECKS[law_id[1:]](*_operands(law, ac), case)
+    ok, lhs, rhs = CHECKS[law_id[1:]](*operands(law, ac), case)
     return (ok, rhs, lhs) if law.swap else (ok, lhs, rhs)
+
+
+def base_failures(law_id, ac):
+    """Every failing (case, lhs, rhs) of a law's base law on the connection it reads on ac.
+
+    The cases come in ascending order of the base law's variables, with the
+    sides as the base law states them: what the law's kernel yields.  The
+    caller makes sure the law is not skipped on ac.
+    """
+    law = LAW_TABLE[law_id]
+    P, Q, f, g = operands(law, ac)
+    check = CHECKS[law_id[1:]]
+    failures = []
+    for case in _base_cases(law_id, P, Q, f, g):
+        ok, lhs, rhs = check(P, Q, f, g, case)
+        if not ok:
+            failures.append((case, lhs, rhs))
+    return failures
 
 
 def case_scan(law_id, ac):
@@ -356,11 +382,8 @@ def case_scan(law_id, ac):
     caller makes sure the law is not skipped on ac.
     """
     law = LAW_TABLE[law_id]
-    P, Q, f, g = _operands(law, ac)
-    ctx = SimpleNamespace(
-        n=P.size, m=Q.size, leqP=P.leq, leqQ=Q.leq, meetQ=Q.meet, f=f, g=g,
-    )
-    cases = BASE_CASES[law_id[1:]](ctx)
+    P, Q, f, g = operands(law, ac)
+    cases = _base_cases(law_id, P, Q, f, g)
     if law.reverse:
         cases = sorted(cases, key=lambda case: case[::-1])
     check = CHECKS[law_id[1:]]

@@ -114,6 +114,13 @@ CHECK_DATA = {
         "poset F3: elements=3 lattice=yes bounded=yes modular=yes distributive=yes\n"
         "conn mulm: F3 -> F3 connection=yes\n"
     ), ""),
+    "order.conn": (0, (
+        "poset B2: elements=4 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "poset C2: elements=2 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "poset C4: elements=4 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "conn join: B2 -> C2 connection=yes\n"
+        "conn spread: C4 -> B2 connection=yes\n"
+    ), ""),
     "zoo.txt": (0, (
         "poset C2: elements=2 lattice=yes bounded=yes modular=yes distributive=yes\n"
         "poset V: elements=3 lattice=no bounded=no modular=no distributive=no\n"
@@ -327,6 +334,26 @@ def test_laws_failing_connection_exits_1(capsys):
     assert code == 1
     assert "RM0 fails witness: x=m lhs=top rhs=m" in out.splitlines()
     assert "RF0 fails witness: a=m c=bot lhs=m rhs=top" in out.splitlines()
+
+
+def test_laws_right_hand_witnesses_follow_their_own_variables(capsys):
+    """RM2, RM5 and RF0 list their base law's variables in reverse.
+
+    Each fails at several cases here, and its witness is the failure that
+    comes first in the order of its own variables, not of the base law's:
+    that order would give RM5 a=10 b=01 and RF0 a=2 c=00.
+    """
+    path = DATA / "order.conn"
+    assert invoke(capsys, "laws", str(path), "--law", "RM2", "--law", "RM5", "--law", "RF0") == (1, (
+        "conn join: B2 -> C2\n"
+        "RM2 fails witness: a=00 b=01 lhs=11 rhs=01\n"
+        "RM5 fails witness: a=01 b=10 lhs=01 rhs=10\n"
+        "RF0 fails witness: a=01 c=0 lhs=01 rhs=11\n"
+        "conn spread: C4 -> B2\n"
+        "RM2 fails witness: a=0 b=2 lhs=3 rhs=2\n"
+        "RM5 fails witness: a=3 b=2 lhs=3 rhs=2\n"
+        "RF0 fails witness: a=1 c=10 lhs=1 rhs=3\n"
+    ), "")
 
 
 def test_laws_unknown_law(capsys):

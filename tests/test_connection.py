@@ -515,4 +515,4 @@ def test_derived_relation_loses_nothing():
         assert_relation_derived(ac)
         assert relation(ac) == c
         checked += 1
-    assert checked == 1175 + 5  # pairs of small lattices, then the data files
+    assert checked == 1175 + 7  # pairs of small lattices, then the data files

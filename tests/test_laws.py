@@ -34,6 +34,7 @@ from ordbench.laws import LAW_TABLE, THEOREMS
 from ordbench.posetgen import generated_lattices
 
 from oracles import (
+    base_failures,
     case_scan,
     catalog_named,
     chain_failures,
@@ -47,6 +48,7 @@ from oracles import (
     make_adjoint,
     modularity_failures,
     modularity_forms,
+    operands,
     opposite,
     recheck_witness,
     relation,
@@ -258,6 +260,34 @@ def test_law_kernels_match_case_scan():
             w = report.witness
             assert report.holds is False and (w.indices, w.lhs, w.rhs) == expected, (law_id, ac)
     assert (evaluated, failed) == (196486, 126303)
+
+
+def test_law_kernels_yield_every_failure_in_case_order():
+    """Each kernel yields every failing case of its law, in ascending order of its variables.
+
+    Over every adjoint connection among the catalog lattices of size <= 5
+    and the generated lattices of size <= 4, for every law not skipped on
+    it: the cases and both sides are those the case-by-case check of the
+    base law finds, and a right-hand law runs its base law's kernel on the
+    opposite connection.
+    """
+    for law_id in LAW_IDS:
+        if law_id.startswith("R"):
+            assert LAW_TABLE[law_id].failures is LAW_TABLE["L" + law_id[1:]].failures, law_id
+    lattices = [L for L in catalog() if L.size <= 5] + list(generated_lattices(4))
+    evaluated = failed = 0
+    for P, Q in itertools.product(lattices, repeat=2):
+        decided = [
+            LAW_TABLE[law_id] for law_id in LAW_IDS
+            if laws._missing_structure(LAW_TABLE[law_id].requires, P, Q) is None
+        ]
+        for ac in enumerate_adjoint_connections(P, Q):
+            for law in decided:
+                evaluated += 1
+                found = list(law.failures(*operands(law, ac)))
+                assert found == base_failures(law.id, ac), (law.id, ac)
+                failed += bool(found)
+    assert (evaluated, failed) == (27918, 13122)
 
 
 def test_right_laws_are_left_laws_on_the_opposite_connection():
@@ -631,7 +661,7 @@ def test_search_verdicts_of_lf0_and_rf0_match_eval_law(monkeypatch):
     checked, mismatched = _lf0_rf0_verdicts(laws._SearchVerdicts, corpus)
     assert checked > 1000 and mismatched == 0
     for law_id in ("LM0", "RM0"):
-        failing = replace(LAW_TABLE[law_id], first_failure=lambda P, Q, f, g: ((0,), 0, None))
+        failing = replace(LAW_TABLE[law_id], failures=lambda P, Q, f, g: iter([((0,), 0, None)]))
         monkeypatch.setitem(LAW_TABLE, law_id, failing)
     assert _lf0_rf0_verdicts(laws._Verdicts, corpus) == (checked, 0)
     assert _lf0_rf0_verdicts(laws._SearchVerdicts, corpus)[1] > 0

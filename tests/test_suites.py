@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 from ordbench import AdjointConnection, catalog, laws
+from ordbench.connection import _right_adjoints
 from ordbench.laws import LAW_TABLE, SUITE_ORDER, run_suite
 from ordbench.posetgen import generated_lattices
 
@@ -62,13 +63,13 @@ def _failing_where(law_id, where):
     """
     law = LAW_TABLE[law_id]
 
-    def first_failure(P, Q, f, g):
-        found = law.first_failure(P, Q, f, g)
-        if found is None and f and where(P, Q, f, g):
-            return (0,) * len(law.vars), 0, None
-        return found
+    def failures(P, Q, f, g):
+        found = list(law.failures(P, Q, f, g))
+        if not found and f and where(P, Q, f, g):
+            found.append(((0,) * len(law.vars), 0, None))
+        return iter(found)
 
-    return replace(law, first_failure=first_failure)
+    return replace(law, failures=failures)
 
 
 def _constant(f):
@@ -168,11 +169,13 @@ def test_one_sided_cases_share_the_pair_records(bare_posets):
     """The lf/rf cases with both adjoints are the pair's own records, each once.
 
     A case with one adjoint is a fresh record with None on its absent side:
-    an lf case lacks its right adjoint, an rf case its left one.
+    an lf case lacks its right adjoint, an rf case its left one, and the
+    closed form finds no adjoint for its map.
     """
     corpus = catalog()[:8] + list(bare_posets) + list(generated_lattices(4))
     for P, Q in product(corpus, repeat=2):
         records = laws._adjoint_connections(P, Q)
+        right, left = _right_adjoints(P, Q), _right_adjoints(Q.op, P.op)
         for cases, absent in ((laws._left_cases, "g"), (laws._right_cases, "f")):
             shared = Counter()
             for v in cases(P, Q):
@@ -180,4 +183,5 @@ def test_one_sided_cases_share_the_pair_records(bare_posets):
                     shared[id(v)] += 1
                 else:
                     assert (v.f is None, v.g is None) == (absent == "f", absent == "g")
+                    assert (right(v.f) if absent == "g" else left(v.g)) is None
             assert shared == Counter(map(id, records)), (P.name, Q.name, cases)
