@@ -13,7 +13,10 @@ int mask, meet[a][b] is the element whose mask is ``down[a] & down[b]``, or
 None if no element has that mask; joins, top and bottom likewise.
 
 Every poset read from a table or from pairs is checked by :func:`from_leq`;
-a dual, derived from a checked poset, is not.
+a dual, derived from a checked poset, is not.  A checked poset has at most
+MAX_ELEMENTS elements, so every element index fits in a byte: the law
+kernels hold rows of a table as ``bytes`` and gather a whole row in C with
+``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,13 @@ from .errors import (
     IndexOutOfRange,
     NotAnOrder,
     NotMonotone,
+    SizeBoundExceeded,
     UnknownLabel,
 )
+
+# The one bound on the size of a poset, read by every module that bounds
+# one.  Below 256, each element index is a byte.
+MAX_ELEMENTS = 240
 
 
 @dataclass(frozen=True, repr=False)
@@ -140,6 +148,22 @@ class FiniteLattice:
         )
 
     @cached_property
+    def meet_rows(self) -> tuple[bytes, ...]:
+        """Each row of the meet table as ``bytes``: ``meet_rows[a][b] == meet[a][b]``.
+
+        Read only where every binary meet exists; a join row is ``op.meet_rows``.
+        """
+        return tuple(map(bytes, self.meet))
+
+    @cached_property
+    def meet_tables(self) -> tuple[bytes, ...]:
+        """Each meet row padded to 256 bytes, a ``bytes.translate`` table.
+
+        ``row.translate(meet_tables[a])`` maps every element b of ``row`` to a ^ b.
+        """
+        return tuple(map(_byte_table, self.meet_rows))
+
+    @cached_property
     def op(self) -> "FiniteLattice":
         """The dual poset, the same object as ``dual(self)``."""
         return dual(self)
@@ -186,10 +210,24 @@ class MonotoneMap:
         return f"MonotoneMap({self.source.name}->{self.target.name}, {self.values})"
 
 
+def _byte_table(values) -> bytes:
+    """A value table of element indices as a ``bytes.translate`` table: padded to 256 bytes."""
+    return bytes(values).ljust(256, b"\0")
+
+
+def _check_size(name: str, n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise SizeBoundExceeded(f"{name}: {n} elements, more than the bound {MAX_ELEMENTS}")
+
+
 def from_leq(name: str, labels: Sequence[str], leq) -> FiniteLattice:
-    """Build a poset from an explicit order table, validating the order axioms."""
+    """Build a poset from an explicit order table, validating the order axioms.
+
+    More than MAX_ELEMENTS labels raise SizeBoundExceeded before the table is read.
+    """
     labels = tuple(labels)
     n = len(labels)
+    _check_size(name, n)
     table = tuple(tuple(bool(x) for x in row) for row in leq)
     if len(table) != n or any(len(row) != n for row in table):
         raise DimensionMismatch(f"{name}: leq table must be {n}x{n}")
@@ -243,9 +281,11 @@ def build_poset(name: str, labels: Sequence[str], covers: Iterable[tuple[str, st
 
     ``leq`` is the reflexive-transitive closure of the pairs, checked by
     :func:`from_leq`; a cycle raises :class:`CycleDetected` instead of
-    returning a value.
+    returning a value.  More labels than MAX_ELEMENTS raise SizeBoundExceeded
+    before the closure is taken.
     """
     labels = tuple(labels)
+    _check_size(name, len(labels))
     pos: dict[str, int] = {}
     for i, lab in enumerate(labels):
         if lab in pos:

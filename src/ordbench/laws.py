@@ -27,7 +27,7 @@ function: ``_chain_lines`` for the six theorems, then ``_derivation_lines``,
 The suites walk value tables, as search does.  Every case, in the suites
 and in search, is one record ``_Verdicts(P, Q, f, g)``: a connection's value
 tables, None for an absent adjoint, and two verdict bits per law in one int,
-each law decided by its kernel through ``_first_failure`` on first read.
+each law decided on first read by whether its kernel yields any failure.
 The pair's cache keeps its adjoint connections' records, which lf and rf
 look up by a monotone map's table and share on the maps with both
 adjoints, with no adjoint computed, so a law that several suites or a
@@ -42,9 +42,10 @@ Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
 pass over the tables, a generator that yields every failing case, with its
 two sides, in ascending order of the law's variables.  LF0 compares whole
-rows of meets and compares cells only in a row that differs; LM1, LF1 and
-LF2 compare int masks of Q's down-sets with masks of f's images and yield
-each missing bit; the other laws are nested loops with no call per case.
+rows of meets, each a ``bytes`` row gathered in C by ``bytes.translate``,
+and compares cells only in a row that differs; LM1, LF1 and LF2 compare
+int masks of Q's down-sets with masks of f's images and yield each missing
+bit; the other laws are nested loops with no call per case.
 Each law is stated here once, by its kernel.  The tests state every law
 again case by case in ``tests/oracles.py``, as the kernels' oracle, and
 recheck witnesses there.
@@ -52,11 +53,12 @@ recheck witnesses there.
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 by the same kernel on the opposite connection Q.op -> P.op between the
 cached duals, whose left adjoint is g and whose right adjoint is f.
-``_first_failure``, which decides every law, hands the kernel either
-connection and takes its first failure; for RM2, RM5 and RF0, whose two
-variables are the base law's in reverse, it takes the failure that comes
-first in that order.  A right-hand law's table entry renames the variables
-and swaps the two sides of an inequality.
+``_failures`` hands the kernel either connection.  A verdict needs only
+whether a failure exists; a witness is the first failure, which
+``_first_failure`` takes, and for RM2, RM5 and RF0, whose two variables are
+the base law's in reverse, it takes the failure that comes first in that
+order.  A right-hand law's table entry renames the variables and swaps the
+two sides of an inequality.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PredicateSyntaxError, SizeBoundExceeded, UnknownLaw, UnknownSuite
 from . import posetgen
-from .lattice import FiniteLattice, MonotoneMap, catalog, monotone_maps
+from .lattice import FiniteLattice, MonotoneMap, _byte_table, catalog, monotone_maps
 from .connection import AdjointConnection, _adjoint_tables, _check_adjoint
 
 LAW_IDS = (
@@ -177,13 +179,21 @@ def _tables(ac: AdjointConnection):
     return ac.source, ac.target, f, g
 
 
+def _failures(law: _LawDef, P, Q, f, g):
+    """Every failing (case, lhs, rhs) of a law on (P, Q, f, g), in its kernel's order.
+
+    The hypotheses of the law hold on (P, Q, f, g).
+    """
+    return law.failures(Q.op, P.op, g, f) if law.opposite else law.failures(P, Q, f, g)
+
+
 def _first_failure(law: _LawDef, P, Q, f, g):
     """A law's first failing (case, lhs, rhs) on (P, Q, f, g), whose hypotheses hold, or None.
 
     First in the order of the law's own variables: a ``reverse`` law's are
     its kernel's in reverse.
     """
-    failures = law.failures(Q.op, P.op, g, f) if law.opposite else law.failures(P, Q, f, g)
+    failures = _failures(law, P, Q, f, g)
     if law.reverse:
         return min(failures, key=lambda x: x[0][::-1], default=None)
     return next(failures, None)
@@ -295,14 +305,16 @@ def _lm5_failures(P, Q, f, g):
 
 
 def _lf0_failures(P, Q, f, g):
-    # Row b holds c ^ f(b) and f(g(c) ^ b) for every c; meets commute, so
-    # the first is row f(b) of Q's meet table, and the second reads row b
-    # of P's.  Cells are compared only in a row that differs.
-    meetP, meetQ = P.meet, Q.meet
-    at_f = f.__getitem__
+    # Row b holds c ^ f(b) and f(g(c) ^ b) for every c, as bytes.  Meets
+    # commute, so the first is row f(b) of Q's meet table, and the second is
+    # g gathered through row b of P's and then through f, by two
+    # ``bytes.translate`` calls.  On the opposite connection, the RF0 case,
+    # these are join rows.  Cells are compared only in a row that differs.
+    rows, tables = Q.meet_rows, P.meet_tables
+    g_row, f_table = bytes(g), _byte_table(f)
     for b in range(P.size):
-        lhs = meetQ[f[b]]
-        rhs = tuple(map(at_f, map(meetP[b].__getitem__, g)))
+        lhs = rows[f[b]]
+        rhs = g_row.translate(tables[b]).translate(f_table)
         if lhs != rhs:
             for c in range(Q.size):
                 if lhs[c] != rhs[c]:
@@ -417,9 +429,10 @@ class _Verdicts:
     """The verdicts on one connection (P, Q, f, g): P -> Q, each decided on its first read.
 
     ``f`` and ``g`` are the value tables of the left and right adjoint, None
-    where that adjoint is absent.  ``record[law_id]`` decides a law by its
-    kernel, through :func:`_first_failure`, and keeps it in ``bits``: bit 2i
-    is set once law ``LAW_IDS[i]`` is decided, and bit 2i+1 when it holds.
+    where that adjoint is absent.  ``record[law_id]`` decides a law by
+    whether its kernel yields a failure at all, through :func:`_failures`,
+    and keeps it in ``bits``: bit 2i is set once law ``LAW_IDS[i]`` is
+    decided, and bit 2i+1 when it holds.
     The reader has checked that the law is not skipped on the connection.
     ``_first`` maps a law to a law it implies, read before it: where that
     law fails, so does this one, with no run of its own kernel.
@@ -437,8 +450,8 @@ class _Verdicts:
         bits = self.bits >> shift & 3
         if not bits:
             first = self._first.get(law_id)
-            holds = (first is None or self[first]) and _first_failure(
-                LAW_TABLE[law_id], self.P, self.Q, self.f, self.g
+            holds = (first is None or self[first]) and next(
+                _failures(LAW_TABLE[law_id], self.P, self.Q, self.f, self.g), None
             ) is None
             bits = 3 if holds else 1
             self.bits |= bits << shift

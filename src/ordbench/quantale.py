@@ -8,11 +8,18 @@ residual a:e, the largest c with c*e <= a; this is the bridge to the
 connection laws: an element is principal exactly when its multiplication
 connection satisfies both reciprocity laws, and weakly principal when it
 satisfies both modular-connection laws.
+
+Every residual is read from one table, ``Quantale.residuals``, whose column
+e is the closed-form right adjoint of multiplication by e.  The two
+principal-element laws are decided a row at a time: a lattice has at most
+MAX_ELEMENTS elements, so each row is ``bytes`` and is gathered in C by
+``bytes.translate``, and cells are compared only in a row that differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import gcd
 from typing import Optional
 
@@ -26,14 +33,21 @@ from .errors import (
     NotJoinPreserving,
     SizeBoundExceeded,
 )
-from .lattice import FiniteLattice, MonotoneMap, _divisor_order, _divisors
-from .connection import AdjointConnection
+from .lattice import (
+    MAX_ELEMENTS,
+    FiniteLattice,
+    MonotoneMap,
+    _byte_table,
+    _divisor_order,
+    _divisors,
+)
+from .connection import AdjointConnection, _right_adjoints
 from .laws import LawReport, Witness, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
-# principal-element report is cubic in the number of divisors.
+# divisors are the elements of a lattice, so there are at most MAX_ELEMENTS.
 MAX_MODULUS = 10**12
-MAX_DIVISORS = 240
+MAX_DIVISORS = MAX_ELEMENTS
 
 
 @dataclass(frozen=True, repr=False)
@@ -47,6 +61,27 @@ class Quantale:
     @property
     def is_integral(self) -> bool:
         return self.unit is not None and self.unit == self.lattice.top
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[int, ...], ...]:
+        """Every residual: ``residuals[e][a]`` is a:e, the largest c with c*e <= a.
+
+        Column e is the right adjoint of multiplication by e, in closed form.
+        A table that passed no axiom check may have none; its column is then
+        the join of every c with c*e <= a, which is the residual wherever one
+        exists.
+        """
+        L = self.lattice
+        right, leq, join = _right_adjoints(L, L), L.leq, L.join
+
+        def joins_below(times_e, a):
+            below = (c for c, v in enumerate(times_e) if leq[v][a])
+            return reduce(lambda acc, c: join[acc][c], below, L.bottom)
+
+        return tuple(
+            right(times_e) or tuple(joins_below(times_e, a) for a in range(L.size))
+            for times_e in zip(*self.mult)
+        )
 
     def __repr__(self) -> str:
         return f"Quantale({self.lattice.name!r}, size={self.lattice.size})"
@@ -136,15 +171,11 @@ def zn_ideal_quantale(n: int) -> Quantale:
 
 
 def residual(q: Quantale, a: int, e: int) -> int:
-    """The largest c with c*e <= a, computed as the join of all such c."""
+    """The largest c with c*e <= a, looked up in ``q.residuals``."""
     L = q.lattice
     L.check_element(a)
     L.check_element(e)
-    acc = L.bottom
-    for c in range(L.size):
-        if L.leq[q.mult[c][e]][a]:
-            acc = L.join[acc][c]
-    return acc
+    return q.residuals[e][a]
 
 
 def element_connection(q: Quantale, e: int) -> AdjointConnection:
@@ -169,41 +200,52 @@ def _principal_law_report(law_id, labels, vars_, failure):
     return LawReport(law_id, False, witness, None)
 
 
+def _first_difference(rows):
+    """The first ((x, y), lhs, rhs) where row x's two sides differ at y, or None.
+
+    ``rows`` yields, per value x of the first variable, both sides as byte
+    rows over the second; cells are compared only in a row that differs.
+    """
+    for x, (lhs, rhs) in enumerate(rows):
+        if lhs != rhs:
+            y = next(y for y, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+            return (x, y), lhs[y], rhs[y]
+    return None
+
+
 def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
     """Evaluate the two principal-element laws for e, directly from the tables.
 
     Law (i): c ^ d*e = ((c:e) ^ d)*e for all c, d.
     Law (ii): a v (b:e) = (a*e v b):e for all a, b.
 
-    The element is principal iff both hold.  The same pair of verdicts must
-    come out of the reciprocity laws LF0/RF0 evaluated on the multiplication
-    connection; that equivalence is asserted here as a cross-check.
+    Each law is decided one row per value of its first variable, both sides
+    over every value of its second, each side gathered by one
+    ``bytes.translate``; its witness is the first failure in the order of
+    its own variables.  The element is
+    principal iff both hold.  The same pair of verdicts must come out of the
+    reciprocity laws LF0/RF0 evaluated on the multiplication connection;
+    that equivalence is asserted here as a cross-check.
     """
     L = q.lattice
     L.check_element(e)
-    n, meet, join, mult = L.size, L.meet, L.join, q.mult
-    res = [residual(q, x, e) for x in range(n)]
+    n = L.size
+    times_e = bytes(q.mult[d][e] for d in range(n))
+    res = bytes([residual(q, x, e) for x in range(n)])
+    times_table, res_table = _byte_table(times_e), _byte_table(res)
+    meet_rows, meet_tables = L.meet_rows, L.meet_tables
+    join_rows, join_tables = L.op.meet_rows, L.op.meet_tables
 
-    failure_i = None
-    for c in range(n):
-        for d in range(n):
-            lhs = meet[c][mult[d][e]]
-            rhs = mult[meet[res[c]][d]][e]
-            if lhs != rhs:
-                failure_i = ((c, d), lhs, rhs)
-                break
-        if failure_i:
-            break
-    failure_ii = None
-    for a in range(n):
-        for b in range(n):
-            lhs = join[a][res[b]]
-            rhs = res[join[mult[a][e]][b]]
-            if lhs != rhs:
-                failure_ii = ((a, b), lhs, rhs)
-                break
-        if failure_ii:
-            break
+    # Row c of law (i): c ^ d*e, and ((c:e) ^ d)*e, for every d.
+    failure_i = _first_difference(
+        (times_e.translate(meet_tables[c]), meet_rows[res[c]].translate(times_table))
+        for c in range(n)
+    )
+    # Row a of law (ii): a v (b:e), and (a*e v b):e, for every b.
+    failure_ii = _first_difference(
+        (res.translate(join_tables[a]), join_rows[times_e[a]].translate(res_table))
+        for a in range(n)
+    )
 
     report_i = _principal_law_report("principal-i", L.labels, ("c", "d"), failure_i)
     report_ii = _principal_law_report("principal-ii", L.labels, ("a", "b"), failure_ii)

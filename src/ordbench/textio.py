@@ -18,18 +18,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NotUTF8, OrdbenchError, ParseError, UnreadableFile
-from .lattice import FiniteLattice, MonotoneMap, build_poset
+from .lattice import MAX_ELEMENTS, FiniteLattice, MonotoneMap, build_poset
 from .connection import Connection, find_weakening_violation
-from .quantale import MAX_DIVISORS, Quantale, build_quantale
+from .quantale import Quantale, build_quantale
 
 # Input bounds, checked before any table is built.  A poset block may declare
-# as many elements as the largest divisor lattice `quantale --zn` accepts; a
-# file of that size with a full quantale table is a few MB.  Building and
-# checking a poset of n elements scans n**3 triples, checking a connection
-# between posets of n and m elements n*m*max(n, m), and checking a quantale
-# over n elements n**3.  The blocks of each of these kinds in one file may sum
-# to at most MAX_ELEMENTS**3 triples: one block of the largest size.
-MAX_ELEMENTS = MAX_DIVISORS
+# as many elements as the one bound on every poset, lattice.MAX_ELEMENTS,
+# which is also the most divisors `quantale --zn` accepts; a file of that
+# size with a full quantale table is a few MB.  Building and checking a poset
+# of n elements scans n**3 triples, checking a connection between posets of n
+# and m elements n*m*max(n, m), and checking a quantale over n elements n**3.
+# The blocks of each of these kinds in one file may sum to at most
+# MAX_ELEMENTS**3 triples: one block of the largest size.
 MAX_FILE_BYTES = 16 << 20
 
 

@@ -472,6 +472,45 @@ def eager_search(predicate, max_size, *, modular_only=False, include_generated=F
 
 
 # ---------------------------------------------------------------------------
+# Principal elements case by case: the oracle of ``Quantale.residuals`` and of
+# the byte-row laws in ``is_principal``.
+
+
+def residual_by_joins(q, a, e):
+    """a:e as the join of every c with c*e <= a."""
+    L = q.lattice
+    acc = L.bottom
+    for c in range(L.size):
+        if L.leq[q.mult[c][e]][a]:
+            acc = L.join[acc][c]
+    return acc
+
+
+def principal_law_failures(q, e):
+    """The first failing ((x, y), lhs, rhs) of each principal-element law for e, or None.
+
+    Law (i), c ^ d*e = ((c:e) ^ d)*e, over c and then d; law (ii),
+    a v (b:e) = (a*e v b):e, over a and then b.  Each case is checked in
+    turn, with every residual a join.
+    """
+    L = q.lattice
+    n, meet, join, mult = L.size, L.meet, L.join, q.mult
+    res = [residual_by_joins(q, x, e) for x in range(n)]
+    failure_i = failure_ii = None
+    for c in range(n):
+        for d in range(n):
+            lhs, rhs = meet[c][mult[d][e]], mult[meet[res[c]][d]][e]
+            if failure_i is None and lhs != rhs:
+                failure_i = ((c, d), lhs, rhs)
+    for a in range(n):
+        for b in range(n):
+            lhs, rhs = join[a][res[b]], res[join[mult[a][e]][b]]
+            if failure_ii is None and lhs != rhs:
+                failure_ii = ((a, b), lhs, rhs)
+    return failure_i, failure_ii
+
+
+# ---------------------------------------------------------------------------
 # The verify suites on objects: the oracle of ``laws.run_suite``.  Each suite
 # is stated here again, on AdjointConnections: each case is a connection, or
 # two composable ones, each law an ``eval_law`` report, and every failure

@@ -12,6 +12,7 @@ from ordbench import (
     NotAnOrder,
     NotMonotone,
     OrdbenchError,
+    SizeBoundExceeded,
     UnknownLabel,
     build_poset,
     catalog,
@@ -20,7 +21,8 @@ from ordbench import (
     from_leq,
     iter_monotone_maps,
 )
-from ordbench.lattice import _finalize
+from ordbench import quantale, textio
+from ordbench.lattice import MAX_ELEMENTS, _finalize
 from ordbench.posetgen import generated_lattices
 
 from oracles import (
@@ -190,6 +192,33 @@ def test_divisor_lattice_matches_full_scan():
         L = divisor_lattice(n)
         assert L.name == f"Div{n}"
         assert L.labels == tuple(f"({d})" for d in range(1, n + 1) if n % d == 0)
+
+
+def test_one_size_bound_for_every_poset():
+    """Past MAX_ELEMENTS a poset raises SizeBoundExceeded, before any byte row could hold an index."""
+    assert textio.MAX_ELEMENTS == quantale.MAX_DIVISORS == MAX_ELEMENTS == 240
+    n = MAX_ELEMENTS + 1
+    labels = [str(i) for i in range(n)]
+    antichain = [[i == j for j in range(n)] for i in range(n)]
+    assert from_leq("A240", labels[:-1], [row[:-1] for row in antichain[:-1]]).size == 240
+    for build in (lambda: from_leq("A241", labels, antichain), lambda: build_poset("A241", labels, [])):
+        with pytest.raises(SizeBoundExceeded, match="A241: 241 elements, more than the bound 240"):
+            build()
+    with pytest.raises(SizeBoundExceeded, match="Div1081080: 256 elements"):
+        divisor_lattice(1081080)
+
+
+def test_meet_rows_are_the_meet_table_as_bytes():
+    """Row a gathered through ``meet_tables[a]`` is a ^ b for every b; ``op``'s rows are joins."""
+    for L in catalog() + list(generated_lattices(6)) + [divisor_lattice(720720)]:
+        if not L.is_lattice:
+            continue
+        everything = bytes(range(L.size))
+        for a in range(L.size):
+            assert tuple(L.meet_rows[a]) == L.meet[a]
+            assert tuple(L.op.meet_rows[a]) == L.join[a]
+            assert len(L.meet_tables[a]) == 256
+            assert everything.translate(L.meet_tables[a]) == L.meet_rows[a]
 
 
 def oracle_bottom(L):

@@ -13,6 +13,7 @@ from ordbench import (
     MonotoneMap,
     OrdbenchError,
     PredicateSyntaxError,
+    Quantale,
     SizeBoundExceeded,
     UnknownLaw,
     UnknownSuite,
@@ -22,6 +23,7 @@ from ordbench import (
     eval_law,
     find_left_adjoint,
     find_right_adjoint,
+    from_leq,
     monotone_maps,
     parse_file,
     parse_predicate,
@@ -30,6 +32,7 @@ from ordbench import (
     zn_ideal_quantale,
 )
 from ordbench import laws
+from ordbench.lattice import MAX_ELEMENTS
 from ordbench.laws import LAW_TABLE, THEOREMS
 from ordbench.posetgen import generated_lattices
 
@@ -260,6 +263,46 @@ def test_law_kernels_match_case_scan():
             w = report.witness
             assert report.holds is False and (w.indices, w.lhs, w.rhs) == expected, (law_id, ac)
     assert (evaluated, failed) == (196486, 126303)
+
+
+def _same_lf0_rf0_verdict(ac):
+    """Assert that eval_law's LF0 and RF0 agree with the case scan on ac; return how many fail."""
+    failures = 0
+    for law_id in ("LF0", "RF0"):
+        report, expected = eval_law(law_id, ac), case_scan(law_id, ac)
+        if expected is None:
+            assert report.holds is True, (law_id, ac)
+        else:
+            failures += 1
+            w = report.witness
+            assert report.holds is False and (w.indices, w.lhs, w.rhs) == expected, (law_id, ac)
+    return failures
+
+
+def test_lf0_and_rf0_kernels_at_the_size_bound(n5):
+    """Byte rows hold indices up to 239: at 240 elements the kernels agree with the case scan.
+
+    Every element of Z/720720 is principal.  On the 240-chain, whose meet
+    is a quantale, RF0 fails for each element but the bounds, and LF0 on
+    the opposite connection.  On the non-modular N5 both fail often.
+    """
+    z = zn_ideal_quantale(720720)
+    assert z.lattice.size == MAX_ELEMENTS == 240
+    for e in (0, 1, 2, 119, 238, 239):
+        assert _same_lf0_rf0_verdict(element_connection(z, e)) == 0
+    n = MAX_ELEMENTS
+    leq = [[i <= j for j in range(n)] for i in range(n)]
+    chain = from_leq("C240", [str(i) for i in range(n)], leq)
+    frame = Quantale(chain, chain.meet, chain.top)
+    for e in (1, 120, 238):
+        ac = element_connection(frame, e)
+        f, g = ac.left.values, ac.right.values
+        D = chain.op
+        opposite_ac = AdjointConnection(MonotoneMap(D, D, g), MonotoneMap(D, D, f))
+        assert _same_lf0_rf0_verdict(ac) == _same_lf0_rf0_verdict(opposite_ac) == 1
+        assert eval_law("RF0", ac).witness.rhs == eval_law("LF0", opposite_ac).witness.rhs == 239
+    connections = enumerate_adjoint_connections(n5, n5)
+    assert (len(connections), sum(map(_same_lf0_rf0_verdict, connections))) == (43, 66)
 
 
 def test_law_kernels_yield_every_failure_in_case_order():
@@ -603,9 +646,9 @@ def test_search_matches_eager_oracle_on_short_circuits():
 def test_search_decides_only_the_laws_it_reads(monkeypatch):
     """Decisions are counted at the kernel layer, which eval_law also goes through."""
     calls, hypotheses, reports = [], [], []
-    decide, missing, report = laws._first_failure, laws._missing_structure, laws.eval_law
+    decide, missing, report = laws._failures, laws._missing_structure, laws.eval_law
 
-    def counting_first_failure(law, *connection):
+    def counting_failures(law, *connection):
         calls.append(law.id)
         return decide(law, *connection)
 
@@ -617,7 +660,7 @@ def test_search_decides_only_the_laws_it_reads(monkeypatch):
         reports.append(law_id)
         return report(law_id, ac)
 
-    monkeypatch.setattr(laws, "_first_failure", counting_first_failure)
+    monkeypatch.setattr(laws, "_failures", counting_failures)
     monkeypatch.setattr(laws, "_missing_structure", counting_missing_structure)
     monkeypatch.setattr(laws, "eval_law", counting_eval_law)
     result = search_counterexample(
@@ -675,16 +718,16 @@ def test_search_decides_lf0_and_rf0_only_where_their_top_rows_hold(predicate, mo
     whichever family it names first.
     """
     decided = {}
-    decide = laws._first_failure
+    decide = laws._failures
 
-    def recording_first_failure(law, P, Q, f, g):
-        failure = decide(law, P, Q, f, g)
+    def recording_failures(law, P, Q, f, g):
+        failures = list(decide(law, P, Q, f, g))
         # a right-hand law runs on the opposite connection; key it by P -> Q
         key = (Q.op, P.op, g, f) if law.opposite else (P, Q, f, g)
-        decided[law.id, *key] = failure is None
-        return failure
+        decided[law.id, *key] = not failures
+        return iter(failures)
 
-    monkeypatch.setattr(laws, "_first_failure", recording_first_failure)
+    monkeypatch.setattr(laws, "_failures", recording_failures)
     result = search_counterexample(predicate, 5, modular_only=True, include_generated=True)
     assert result.found is None
     whole = 0

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +15,22 @@ from ordbench import (
     SizeBoundExceeded,
     build_poset,
     build_quantale,
+    catalog,
     divisor_lattice,
     element_connection,
     eval_law,
     find_right_adjoint,
     is_principal,
     is_weak_principal,
+    parse_file,
     residual,
     zn_ideal_quantale,
 )
+from ordbench.connection import _right_adjoints
 
-from oracles import catalog_named, relation
+from oracles import catalog_named, principal_law_failures, relation, residual_by_joins
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +238,62 @@ def test_principal_implies_weak_principal(frame3):
             if rep_i.holds and rep_ii.holds:
                 lm0, rm0 = is_weak_principal(q, e)
                 assert lm0.holds and rm0.holds
+
+
+def _square_zero_ideals():
+    """The ideals of F2[x,y]/(x,y)^2, 0 < (x), (y), (x+y) < m < R: a modular, non-distributive lattice.
+
+    A product of two proper ideals is 0.  m needs two generators, and law
+    (i) fails for it.
+    """
+    L = build_poset(
+        "I6", ("0", "x", "y", "x+y", "m", "R"),
+        [("0", "x"), ("0", "y"), ("0", "x+y"), ("x", "m"), ("y", "m"), ("x+y", "m"), ("m", "R")],
+    )
+    top = L.top
+    mult = [[a if b == top else b if a == top else L.bottom for b in range(6)] for a in range(6)]
+    return build_quantale(L, mult)
+
+
+def _principal_corpus():
+    """Z/n for n = 2..60 and 360, the frame file, the meet quantale of each
+    distributive catalog lattice, and the ideals of F2[x,y]/(x,y)^2."""
+    quantales = [zn_ideal_quantale(n) for n in (*range(2, 61), 360)]
+    quantales += parse_file(DATA / "frame3.q").quantales.values()
+    quantales += [build_quantale(L, L.meet) for L in catalog() if L.is_distributive]
+    quantales.append(_square_zero_ideals())
+    return quantales
+
+
+def test_residuals_match_the_join_loop(c3):
+    # multiplication by constant top passes no axiom check and has no right
+    # adjoint, so its residuals are joins, as before the closed form
+    unchecked = Quantale(c3, ((2, 2, 2),) * 3, None)
+    assert _right_adjoints(c3, c3)((2, 2, 2)) is None
+    for q in [*_principal_corpus(), unchecked]:
+        n = q.lattice.size
+        assert q.residuals == tuple(
+            tuple(residual_by_joins(q, a, e) for a in range(n)) for e in range(n)
+        ), q
+        assert all(residual(q, a, e) == q.residuals[e][a] for a in range(n) for e in range(n))
+    assert unchecked.residuals == ((0, 0, 2),) * 3
+
+
+def test_is_principal_matches_the_case_by_case_laws():
+    """Both principal-element laws: verdict, witness indices and sides, as checking each case gives them."""
+    elements = failures = 0
+    for q in _principal_corpus():
+        for e in range(q.lattice.size):
+            elements += 1
+            for report, failure in zip(is_principal(q, e), principal_law_failures(q, e)):
+                if failure is None:
+                    assert report.holds is True and report.witness is None, (q, e)
+                else:
+                    failures += 1
+                    w = report.witness
+                    assert report.holds is False, (q, e)
+                    assert (w.indices, w.lhs, w.rhs) == failure, (q, e)
+    # law (ii) fails for the middle elements of the chains C3, C4 and F3
+    # (F3 twice: the file and the catalog) and for (2) and (6) of Div12
+    # under meet; law (i) fails for m of F2[x,y]/(x,y)^2
+    assert (elements, failures) == (326, 8)

@@ -139,14 +139,14 @@ def test_suites_build_objects_only_for_printed_lines(monkeypatch, fresh_verdicts
 def test_each_law_is_decided_once_per_connection(monkeypatch, fresh_verdicts):
     """Across the suites over pairs, a verdict on an adjoint connection is read from the memo."""
     decided = Counter()
-    decide = laws._first_failure
+    decide = laws._failures
 
     def counting(law, P, Q, f, g):
         if f is not None and g is not None:
             decided[law.id, P.name, Q.name, f, g] += 1
         return decide(law, P, Q, f, g)
 
-    monkeypatch.setattr(laws, "_first_failure", counting)
+    monkeypatch.setattr(laws, "_failures", counting)
     for name in SUITE_ORDER:
         if name != "composition":  # which decides each composite it reads afresh
             run_suite(name, catalog())
