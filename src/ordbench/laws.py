@@ -28,14 +28,18 @@ The suites walk value tables, as search does.  Every case, in the suites
 and in search, is one record ``_Verdicts(P, Q, f, g)``: a connection's value
 tables, None for an absent adjoint, and two verdict bits per law in one int,
 each law decided on first read by whether its kernel yields any failure.
+A record reads True, False, or None for a skipped law: the suites' records
+start with the skip bits of their ordered pair and adjoint presence,
+``_skip_bits``, worked out once for all of them, so no line function
+checks a hypothesis.  Search walks bounded lattices only, where no law is
+skipped, and checks none.
 The pair's cache keeps its adjoint connections' records, which lf and rf
 look up by a monotone map's table and share on the maps with both
 adjoints, with no adjoint computed, so a law that several suites or a
-composition leg read is decided once.  Hypotheses are checked once per
-ordered pair.  Only search's record decides LF0 and RF0 after their
-top-row laws LM0 and RM0: the suites check that LF0 implies LM0.  A witness
-is built only for a line that is printed, and no report or
-AdjointConnection at all; the tests state the suites again on
+composition leg read is decided once.  Only search's record decides LF0
+and RF0 after their top-row laws LM0 and RM0: the suites check that LF0
+implies LM0.  A witness is built only for a line that is printed, and no
+report or AdjointConnection at all; the tests state the suites again on
 AdjointConnections and ``eval_law`` reports, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
@@ -46,9 +50,10 @@ rows of meets, each a ``bytes`` row gathered in C by ``bytes.translate``,
 and compares cells only in a row that differs; LM1, LF1 and LF2 compare
 int masks of Q's down-sets with masks of f's images and yield each missing
 bit; the other laws are nested loops with no call per case.
-Each law is stated here once, by its kernel.  The tests state every law
-again case by case in ``tests/oracles.py``, as the kernels' oracle, and
-recheck witnesses there.
+Each law is stated here once, by its kernel; the principal-element laws of
+``quantale`` are LF0 and RF0 with their variables renamed.  The tests state
+every law again case by case in ``tests/oracles.py``, as the kernels'
+oracle, and recheck witnesses there.
 
 Only the left-hand laws are written out.  Each RMk/RFk is LMk/LFk evaluated
 by the same kernel on the opposite connection Q.op -> P.op between the
@@ -412,10 +417,15 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
     reason = _missing_structure(law.requires, P, Q, f is not None, g is not None)
     if reason is not None:
         return LawReport(law_id, None, None, reason)
+    return _report(law, P, Q, f, g)
+
+
+def _report(law: _LawDef, P, Q, f, g) -> LawReport:
+    """The report of a law on (P, Q, f, g), whose hypotheses hold: its verdict and first failure."""
     failure = _first_failure(law, P, Q, f, g)
     if failure is None:
-        return LawReport(law_id, True, None, None)
-    return LawReport(law_id, False, _witness(law, P, Q, *failure), None)
+        return LawReport(law.id, True, None, None)
+    return LawReport(law.id, False, _witness(law, P, Q, *failure), None)
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +433,29 @@ def eval_law(law_id: str, ac: AdjointConnection) -> LawReport:
 
 
 _MEMO_SHIFT = {law_id: 2 * i for i, law_id in enumerate(LAW_IDS)}
+# a law's two record bits -> its verdict: 1 fails, 2 skipped, 3 holds
+_VERDICT = (None, False, None, True)
+
+
+def _skip_bits(P, Q, left=True, right=True) -> int:
+    """The record bits of P -> Q, with or without each adjoint: 2 for each law it skips."""
+    return sum(
+        2 << _MEMO_SHIFT[law_id]
+        for law_id, law in LAW_TABLE.items()
+        if _missing_structure(law.requires, P, Q, left, right) is not None
+    )
 
 
 class _Verdicts:
     """The verdicts on one connection (P, Q, f, g): P -> Q, each decided on its first read.
 
     ``f`` and ``g`` are the value tables of the left and right adjoint, None
-    where that adjoint is absent.  ``record[law_id]`` decides a law by
-    whether its kernel yields a failure at all, through :func:`_failures`,
-    and keeps it in ``bits``: bit 2i is set once law ``LAW_IDS[i]`` is
-    decided, and bit 2i+1 when it holds.
-    The reader has checked that the law is not skipped on the connection.
+    where that adjoint is absent.  ``bits`` holds two bits per law, bits 2i
+    and 2i+1 for law ``LAW_IDS[i]``: 0 while undecided, 1 when it fails, 2
+    when it is skipped and 3 when it holds.  A record starts with the skip
+    bits of its pair, :func:`_skip_bits`.  ``record[law_id]`` is True, False
+    or None for a skipped law; it decides an undecided law by whether its
+    kernel yields a failure at all, through :func:`_failures`.
     ``_first`` maps a law to a law it implies, read before it: where that
     law fails, so does this one, with no run of its own kernel.
     """
@@ -441,11 +463,11 @@ class _Verdicts:
     __slots__ = ("P", "Q", "f", "g", "bits")
     _first: dict[str, str] = {}
 
-    def __init__(self, P, Q, f, g):
+    def __init__(self, P, Q, f, g, bits=0):
         self.P, self.Q, self.f, self.g = P, Q, f, g
-        self.bits = 0
+        self.bits = bits
 
-    def __getitem__(self, law_id: str) -> bool:
+    def __getitem__(self, law_id: str) -> Optional[bool]:
         shift = _MEMO_SHIFT[law_id]
         bits = self.bits >> shift & 3
         if not bits:
@@ -455,7 +477,7 @@ class _Verdicts:
             ) is None
             bits = 3 if holds else 1
             self.bits |= bits << shift
-        return bits == 3
+        return _VERDICT[bits]
 
     def describe(self) -> str:
         return f"P={self.P.name} Q={self.Q.name} left={self.f} right={self.g}"
@@ -473,7 +495,8 @@ class _Verdicts:
 @lru_cache(maxsize=None)
 def _adjoint_connections(P, Q) -> tuple[_Verdicts, ...]:
     """Every adjoint connection P -> Q, as its record, ordered by f."""
-    return tuple(_Verdicts(P, Q, f, g) for f, g in _adjoint_tables(P, Q))
+    skips = _skip_bits(P, Q)
+    return tuple(_Verdicts(P, Q, f, g, skips) for f, g in _adjoint_tables(P, Q))
 
 
 def _left_cases(P, Q):
@@ -482,9 +505,9 @@ def _left_cases(P, Q):
     A map with a right adjoint is the left map of one of the pair's adjoint
     connections, all of which :func:`_adjoint_tables` yields, and is its record.
     """
-    records = {v.f: v for v in _adjoint_connections(P, Q)}
+    records, skips = {v.f: v for v in _adjoint_connections(P, Q)}, _skip_bits(P, Q, right=False)
     for m in monotone_maps(P, Q):
-        yield records.get(m.values) or _Verdicts(P, Q, m.values, None)
+        yield records.get(m.values) or _Verdicts(P, Q, m.values, None, skips)
 
 
 def _right_cases(P, Q):
@@ -493,9 +516,9 @@ def _right_cases(P, Q):
     A map with a left adjoint is the right map of one of the pair's adjoint
     connections, and is its record.
     """
-    records = {v.g: v for v in _adjoint_connections(P, Q)}
+    records, skips = {v.g: v for v in _adjoint_connections(P, Q)}, _skip_bits(P, Q, left=False)
     for m in monotone_maps(Q, P):
-        yield records.get(m.values) or _Verdicts(P, Q, None, m.values)
+        yield records.get(m.values) or _Verdicts(P, Q, None, m.values, skips)
 
 
 # theorem -> (connections its suite visits, chain of laws that must agree
@@ -615,6 +638,8 @@ def parse_predicate(text: str) -> Predicate:
             if tok not in laws:
                 laws.append(tok)
             return (lambda name: lambda v: v[name])(tok)
+        if not tok.isalnum():
+            raise PredicateSyntaxError(f"expected a law or '(', found {tok!r}")
         raise UnknownLaw(f"unknown law {tok!r} in predicate")
 
     fn = parse_or()
@@ -682,10 +707,9 @@ def search_counterexample(
     asked, every bounded lattice up to isomorphism generated exhaustively up
     to that size) and every adjoint connection between each ordered pair, in
     a fixed order, one pair at a time and uncached; returns the first
-    satisfying case or the number of cases examined.  A case counts only
-    when the hypotheses of every law the predicate names hold, so no law is
-    skipped on it; every case has both adjoints, so the hypotheses are
-    checked once per ordered pair.  A case is a pair of value tables (f,
+    satisfying case or the number of cases examined.  Every case has both
+    adjoints between bounded lattices, so no law is skipped on it, and no
+    hypothesis is checked.  A case is a pair of value tables (f,
     g), and the predicate decides, each by its kernel, only the laws its
     short-circuit ``&``/``|`` reads, LF0 and RF0 after their rows at the
     bounds, LM0 and RM0; a found case is re-validated as an
@@ -699,9 +723,6 @@ def search_counterexample(
         raise SizeBoundExceeded(f"search is bounded to {lattices} of size 1 to {limit}")
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    requires = tuple(
-        dict.fromkeys(req for law_id in predicate.laws for req in _law(law_id).requires)
-    )
     corpus = [L for L in catalog() if L.is_lattice and L.is_bounded and L.size <= max_size]
     if include_generated:
         corpus.extend(posetgen.generated_lattices(max_size))
@@ -709,8 +730,6 @@ def search_counterexample(
         corpus = [L for L in corpus if L.is_modular]
     cases = 0
     for P, Q in product(corpus, repeat=2):
-        if _missing_structure(requires, P, Q) is not None:
-            continue
         for f, g in _adjoint_tables(P, Q):
             cases += 1
             values = _SearchVerdicts(P, Q, f, g)
@@ -742,30 +761,14 @@ class SuiteResult:
         return [head, *self.details]
 
 
-def _skipped(law_ids, P, Q, left=True, right=True) -> bool:
-    """Whether P -> Q, with or without each adjoint, misses a hypothesis of one of the laws."""
-    return any(
-        _missing_structure(LAW_TABLE[law_id].requires, P, Q, left, right) is not None
-        for law_id in law_ids
-    )
-
-
 # The failure lines of each case of a unit, one tuple or list per case.
 
 
 def _chain_lines(theorem: str, P, Q):
     """The chain's truth vector, when its laws disagree on a connection the theorem visits."""
     cases, chain = THEOREMS[theorem]
-    # per presence of (left, right): whether each law is skipped
-    skips = {
-        adjoints: [_skipped((law_id,), P, Q, *adjoints) for law_id in chain]
-        for adjoints in ((True, True), (True, False), (False, True))
-    }
     for v in cases(P, Q):
-        values = [
-            None if skip else v[law_id]
-            for law_id, skip in zip(chain, skips[v.f is not None, v.g is not None])
-        ]
+        values = [v[law_id] for law_id in chain]
         if True in values and False in values:
             vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(chain, values))
             yield (f"{v.describe()} {vector}",)
@@ -779,12 +782,11 @@ _DERIVATIONS = {"RF0=>RM0": ("RF0", "RM0"), "LF0=>LM0": ("LF0", "LM0")}
 
 def _derivation_lines(P, Q):
     """Each derivation whose antecedent holds and consequent fails, with the latter's witness."""
-    checks = [(name, laws) for name, laws in _DERIVATIONS.items() if not _skipped(laws, P, Q)]
     for v in _adjoint_connections(P, Q):
         yield [
             f"{v.describe()} {name}: {v.rendered_witness(consequent)}"
-            for name, (antecedent, consequent) in checks
-            if v[antecedent] and not v[consequent]
+            for name, (antecedent, consequent) in _DERIVATIONS.items()
+            if v[antecedent] and v[consequent] is False
         ]
 
 
@@ -798,13 +800,12 @@ def _modularity_lines(P, Q):
             forms.append(("RM0<=>RF0[Q modular]", ("RM0",), ("RF0",)))
         if P.is_modular and Q.is_modular:
             forms.append(("LM0&RM0<=>LF0&RF0[both modular]", ("LM0", "RM0"), ("LF0", "RF0")))
-    forms = [(name, lhs, lhs + rhs) for name, lhs, rhs in forms if not _skipped(lhs + rhs, P, Q)]
     for v in _adjoint_connections(P, Q):
         lines = []
-        for name, lhs, laws in forms:
-            values = [v[law_id] for law_id in laws]
-            if all(values[:len(lhs)]) != all(values[len(lhs):]):
-                vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(laws, values))
+        for name, lhs, rhs in forms:
+            values = [v[law_id] for law_id in lhs + rhs]
+            if None not in values and all(values[:len(lhs)]) != all(values[len(lhs):]):
+                vector = " ".join(f"{law_id}={holds}" for law_id, holds in zip(lhs + rhs, values))
                 lines.append(f"{v.describe()} {name}: {vector}")
         yield lines
 
@@ -826,22 +827,19 @@ def _composition_lines(P, Q, S):
     The composite's tables are read through the legs' tables and checked
     by unit and counit, as an AdjointConnection is, once a law needs them.
     """
-    laws = [
-        (law_id, _skipped((law_id,), P, Q) or _skipped((law_id,), Q, S), _skipped((law_id,), P, S))
-        for law_id in ("LF0", "RF0")
-    ]
+    skips = _skip_bits(P, S)
     for r in _adjoint_connections(P, Q):
         for s in _adjoint_connections(Q, S):
             composite = None
-            for law_id, legs_skipped, skipped in laws:
-                if legs_skipped or not (r[law_id] and s[law_id]):
+            for law_id in ("LF0", "RF0"):
+                if not (r[law_id] and s[law_id]):
                     yield ()
                     continue
                 if composite is None:
                     f, g = tuple(map(s.f.__getitem__, r.f)), tuple(map(r.g.__getitem__, s.g))
                     _check_adjoint(P, S, f, g)
-                    composite = _Verdicts(P, S, f, g)
-                if skipped or composite[law_id]:
+                    composite = _Verdicts(P, S, f, g, skips)
+                if composite[law_id] is not False:
                     yield ()
                 else:
                     witness = composite.rendered_witness(law_id)

@@ -11,15 +11,14 @@ satisfies both modular-connection laws.
 
 Every residual is read from one table, ``Quantale.residuals``, whose column
 e is the closed-form right adjoint of multiplication by e.  The two
-principal-element laws are decided a row at a time: a lattice has at most
-MAX_ELEMENTS elements, so each row is ``bytes`` and is gathered in C by
-``bytes.translate``, and cells are compared only in a row that differs.
+principal-element laws are LF0 and RF0 with their variables renamed, and are
+decided by those laws' kernels in ``laws``, which states every law once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -27,22 +26,16 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidModulus,
+    NotAdjoint,
     NotAssociative,
     NotBounded,
     NotCommutative,
     NotJoinPreserving,
     SizeBoundExceeded,
 )
-from .lattice import (
-    MAX_ELEMENTS,
-    FiniteLattice,
-    MonotoneMap,
-    _byte_table,
-    _divisor_order,
-    _divisors,
-)
+from .lattice import MAX_ELEMENTS, FiniteLattice, MonotoneMap, _divisor_order, _divisors
 from .connection import AdjointConnection, _right_adjoints
-from .laws import LawReport, Witness, eval_law
+from .laws import LAW_TABLE, LawReport, _report, eval_law
 
 # Bounds on `zn_ideal_quantale`: trial division runs to sqrt(n), and the
 # divisors are the elements of a lattice, so there are at most MAX_ELEMENTS.
@@ -67,21 +60,15 @@ class Quantale:
         """Every residual: ``residuals[e][a]`` is a:e, the largest c with c*e <= a.
 
         Column e is the right adjoint of multiplication by e, in closed form.
-        A table that passed no axiom check may have none; its column is then
-        the join of every c with c*e <= a, which is the residual wherever one
-        exists.
+        Multiplication preserves joins, so every column exists; a table that
+        passed no axiom check may lack one, and raises NotAdjoint.
         """
         L = self.lattice
-        right, leq, join = _right_adjoints(L, L), L.leq, L.join
-
-        def joins_below(times_e, a):
-            below = (c for c, v in enumerate(times_e) if leq[v][a])
-            return reduce(lambda acc, c: join[acc][c], below, L.bottom)
-
-        return tuple(
-            right(times_e) or tuple(joins_below(times_e, a) for a in range(L.size))
-            for times_e in zip(*self.mult)
-        )
+        columns = tuple(map(_right_adjoints(L, L), zip(*self.mult)))
+        if None in columns:
+            e = columns.index(None)
+            raise NotAdjoint(f"{L.name}: multiplication by {L.labels[e]} has no right adjoint")
+        return columns
 
     def __repr__(self) -> str:
         return f"Quantale({self.lattice.name!r}, size={self.lattice.size})"
@@ -192,25 +179,11 @@ def element_connection(q: Quantale, e: int) -> AdjointConnection:
     return AdjointConnection(f, g)
 
 
-def _principal_law_report(law_id, labels, vars_, failure):
-    if failure is None:
-        return LawReport(law_id, True, None, None)
-    case, lhs, rhs = failure
-    witness = Witness(vars_, case, lhs, rhs, (labels,) * len(vars_), labels)
-    return LawReport(law_id, False, witness, None)
-
-
-def _first_difference(rows):
-    """The first ((x, y), lhs, rhs) where row x's two sides differ at y, or None.
-
-    ``rows`` yields, per value x of the first variable, both sides as byte
-    rows over the second; cells are compared only in a row that differs.
-    """
-    for x, (lhs, rhs) in enumerate(rows):
-        if lhs != rhs:
-            y = next(y for y, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
-            return (x, y), lhs[y], rhs[y]
-    return None
+# Law (i) at (c, d) is LF0 at (b=d, c), and law (ii) at (a, b) is RF0 at (a, c=b).
+_PRINCIPAL_LAWS = (
+    replace(LAW_TABLE["LF0"], id="principal-i", vars=("c", "d"), reverse=True),
+    replace(LAW_TABLE["RF0"], id="principal-ii", vars=("a", "b")),
+)
 
 
 def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
@@ -219,36 +192,20 @@ def is_principal(q: Quantale, e: int) -> tuple[LawReport, LawReport]:
     Law (i): c ^ d*e = ((c:e) ^ d)*e for all c, d.
     Law (ii): a v (b:e) = (a*e v b):e for all a, b.
 
-    Each law is decided one row per value of its first variable, both sides
-    over every value of its second, each side gathered by one
-    ``bytes.translate``; its witness is the first failure in the order of
-    its own variables.  The element is
-    principal iff both hold.  The same pair of verdicts must come out of the
-    reciprocity laws LF0/RF0 evaluated on the multiplication connection;
-    that equivalence is asserted here as a cross-check.
+    They are LF0 and RF0 on the multiplication connection b -> b*e,
+    a -> a:e, read with their variables renamed, so each is decided by the
+    kernel of its reciprocity law on the tables of q; its witness is the
+    first failure in the order of its own variables.  The element is
+    principal iff both hold.  The same pair of verdicts must come out of
+    ``eval_law`` on the connection ``element_connection`` builds and checks;
+    that is asserted here as a cross-check.
     """
     L = q.lattice
     L.check_element(e)
     n = L.size
-    times_e = bytes(q.mult[d][e] for d in range(n))
-    res = bytes([residual(q, x, e) for x in range(n)])
-    times_table, res_table = _byte_table(times_e), _byte_table(res)
-    meet_rows, meet_tables = L.meet_rows, L.meet_tables
-    join_rows, join_tables = L.op.meet_rows, L.op.meet_tables
-
-    # Row c of law (i): c ^ d*e, and ((c:e) ^ d)*e, for every d.
-    failure_i = _first_difference(
-        (times_e.translate(meet_tables[c]), meet_rows[res[c]].translate(times_table))
-        for c in range(n)
-    )
-    # Row a of law (ii): a v (b:e), and (a*e v b):e, for every b.
-    failure_ii = _first_difference(
-        (res.translate(join_tables[a]), join_rows[times_e[a]].translate(res_table))
-        for a in range(n)
-    )
-
-    report_i = _principal_law_report("principal-i", L.labels, ("c", "d"), failure_i)
-    report_ii = _principal_law_report("principal-ii", L.labels, ("a", "b"), failure_ii)
+    times_e = tuple(q.mult[d][e] for d in range(n))
+    res = tuple(residual(q, x, e) for x in range(n))
+    report_i, report_ii = (_report(law, L, L, times_e, res) for law in _PRINCIPAL_LAWS)
 
     ec = element_connection(q, e)
     lf0 = eval_law("LF0", ec)

@@ -121,6 +121,10 @@ CHECK_DATA = {
         "conn join: B2 -> C2 connection=yes\n"
         "conn spread: C4 -> B2 connection=yes\n"
     ), ""),
+    "twisted12.q": (0, (
+        "poset Div12: elements=6 lattice=yes bounded=yes modular=yes distributive=yes\n"
+        "quantale Twisted12: over=Div12 unit=none integral=no\n"
+    ), ""),
     "zoo.txt": (0, (
         "poset C2: elements=2 lattice=yes bounded=yes modular=yes distributive=yes\n"
         "poset V: elements=3 lattice=no bounded=no modular=no distributive=no\n"
@@ -406,6 +410,32 @@ def test_quantale_frame_file(capsys):
     assert "  RM0 fails witness: x=m lhs=top rhs=m" in lines
 
 
+def test_quantale_twisted_file(capsys):
+    """Law (i)'s witness for (6) is its first failure in the order (c, d).
+
+    Reversing the first failure in LF0's order (b, c) would give c=(3) d=(1).
+    """
+    code, out, err = invoke(capsys, "quantale", str(DATA / "twisted12.q"), "--principal")
+    failing = [
+        "  principal-i fails witness: c=(2) d=(1) lhs=(2) rhs=(12)",
+        "  principal-ii fails witness: a=(2) b=(2) lhs=(2) rhs=(1)",
+        "  LM0 fails witness: y=(2) lhs=(12) rhs=(2)",
+        "  RM0 fails witness: x=(2) lhs=(1) rhs=(2)",
+    ]
+    lines = ["quantale Twisted12: elements=6 unit=none integral=no"]
+    for label in ("(1)", "(2)", "(3)", "(4)"):
+        lines += [f"elem {label}: principal=no weak-principal=no", *failing]
+    lines += [
+        "elem (6): principal=no weak-principal=no",
+        "  principal-i fails witness: c=(2) d=(4) lhs=(2) rhs=(12)",
+        "  principal-ii fails witness: a=(2) b=(2) lhs=(2) rhs=(1)",
+        "  LM0 fails witness: y=(3) lhs=(12) rhs=(3)",
+        "  RM0 fails witness: x=(2) lhs=(1) rhs=(2)",
+        "elem (12): principal=yes weak-principal=yes",
+    ]
+    assert (code, out.splitlines(), err) == (0, lines, "")
+
+
 def test_quantale_invalid_modulus(capsys):
     code, _, err = invoke(capsys, "quantale", "--zn", "1", "--principal")
     assert code == 2
@@ -455,6 +485,8 @@ def test_search_bad_predicate(capsys):
     assert "predicate" in err or "unexpected" in err
     code, out, err = invoke(capsys, "search", "--predicate", "LM0 & ZZ1", "--max-size", "4")
     assert (code, out, err) == (2, "", "error: unknown law 'ZZ1' in predicate\n")
+    code, out, err = invoke(capsys, "search", "--predicate", "LM0 & )", "--max-size", "2")
+    assert (code, out, err) == (2, "", "error: expected a law or '(', found ')'\n")
 
 
 def test_search_rejects_predicates_too_deep_to_evaluate(capsys):

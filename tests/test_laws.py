@@ -518,6 +518,11 @@ def test_law_errors_are_typed(n5):
         (PredicateSyntaxError, "unexpected end", lambda: parse_predicate("LM0 &")),
         (PredicateSyntaxError, "expected ')', found 'LM1'", lambda: parse_predicate("(LM0 LM1")),
         (PredicateSyntaxError, "trailing tokens", lambda: parse_predicate("LM0 LM1")),
+        # an operator or ')' where a law or '(' belongs
+        (PredicateSyntaxError, "expected a law or '(', found ')'", lambda: parse_predicate("LM0 & )")),
+        (PredicateSyntaxError, "expected a law or '(', found '|'", lambda: parse_predicate("|LM0")),
+        (PredicateSyntaxError, "expected a law or '(', found '&'", lambda: parse_predicate("LM0 && RM0")),
+        (PredicateSyntaxError, "expected a law or '(', found ')'", lambda: parse_predicate(")")),
         # Each of these would overflow the stack in parsing or in evaluation.
         (PredicateSyntaxError, "more than 200", lambda: parse_predicate("(" * 250 + "LM0" + ")" * 250)),
         (PredicateSyntaxError, "more than 200", lambda: parse_predicate("!" * 1000 + "LM0")),
@@ -647,6 +652,12 @@ def test_search_decides_only_the_laws_it_reads(monkeypatch):
     """Decisions are counted at the kernel layer, which eval_law also goes through."""
     calls, hypotheses, reports = [], [], []
     decide, missing, report = laws._failures, laws._missing_structure, laws.eval_law
+    walked = []
+    tables = laws._adjoint_tables
+
+    def recording_tables(P, Q):
+        walked.append((P, Q))
+        return tables(P, Q)
 
     def counting_failures(law, *connection):
         calls.append(law.id)
@@ -663,14 +674,18 @@ def test_search_decides_only_the_laws_it_reads(monkeypatch):
     monkeypatch.setattr(laws, "_failures", counting_failures)
     monkeypatch.setattr(laws, "_missing_structure", counting_missing_structure)
     monkeypatch.setattr(laws, "eval_law", counting_eval_law)
+    monkeypatch.setattr(laws, "_adjoint_tables", recording_tables)
     result = search_counterexample(
         "LM0 & RM0 & !(LF0 & RF0)", 4, modular_only=True, include_generated=True
     )
     assert result.render() == "not found (766 cases)"
     assert len(calls) == 1889  # deciding all 4 laws on every case makes 3064
     assert reports == []  # each law is decided by its kernel, with no report
-    # hypotheses once per ordered pair of the 12 modular lattices, not per connection
-    assert len(hypotheses) == len(set(hypotheses)) == 12 * 12
+    # search checks no hypothesis: it walks the 12 modular bounded lattices,
+    # on which no law is skipped
+    assert hypotheses == []
+    assert len(walked) == 12 * 12
+    assert all(laws._skip_bits(P, Q) == 0 for P, Q in walked)
     calls.clear()
     result = search_counterexample("LM0 | RM0", 1)
     # the predicate reads LM0 only; the found line decides RM0 as well

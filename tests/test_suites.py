@@ -15,9 +15,9 @@ from itertools import product
 
 import pytest
 
-from ordbench import AdjointConnection, catalog, laws
+from ordbench import AdjointConnection, MonotoneMap, catalog, eval_law, laws
 from ordbench.connection import _right_adjoints
-from ordbench.laws import LAW_TABLE, SUITE_ORDER, run_suite
+from ordbench.laws import LAW_IDS, LAW_TABLE, SUITE_ORDER, run_suite
 from ordbench.posetgen import generated_lattices
 
 from oracles import oracle_run_suite
@@ -185,3 +185,33 @@ def test_one_sided_cases_share_the_pair_records(bare_posets):
                     assert (v.f is None, v.g is None) == (absent == "f", absent == "g")
                     assert (right(v.f) if absent == "g" else left(v.g)) is None
             assert shared == Counter(map(id, records)), (P.name, Q.name, cases)
+
+
+def test_records_know_which_laws_are_skipped(fresh_verdicts, bare_posets):
+    """A record reads None exactly where eval_law skips the law, and .holds elsewhere.
+
+    Every adjoint presence is covered: the pair's adjoint connections, and
+    the lf and rf cases that lack their right, resp. left, adjoint.
+    """
+    corpus = catalog() + list(generated_lattices(4)) + list(bare_posets)
+    skipped = decided = 0
+    for P, Q in product(corpus, repeat=2):
+        records = [
+            *laws._adjoint_connections(P, Q),
+            *(v for v in laws._left_cases(P, Q) if v.g is None),
+            *(v for v in laws._right_cases(P, Q) if v.f is None),
+        ]
+        for v in records:
+            ac = AdjointConnection(
+                None if v.f is None else MonotoneMap(P, Q, v.f),
+                None if v.g is None else MonotoneMap(Q, P, v.g),
+            )
+            for law_id in LAW_IDS:
+                report = eval_law(law_id, ac)
+                if report.skipped is not None:
+                    skipped += 1
+                    assert v[law_id] is None, (P.name, Q.name, v.f, v.g, law_id)
+                else:
+                    decided += 1
+                    assert v[law_id] is report.holds, (P.name, Q.name, v.f, v.g, law_id)
+    assert skipped > 0 and decided > 0
