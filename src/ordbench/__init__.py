@@ -45,7 +45,6 @@ from .lattice import (
     divisor_lattice,
     dual,
     from_leq,
-    iter_monotone_maps,
     monotone_maps,
 )
 from .connection import (

@@ -439,14 +439,12 @@ def _backtrack(source: FiniteLattice, target: FiniteLattice, choices, joins, for
     yield from rec(0)
 
 
-def iter_monotone_maps(source: FiniteLattice, target: FiniteLattice) -> Iterator[MonotoneMap]:
-    """All monotone maps source -> target, in lexicographic order of value tables."""
-    n = source.size
-    for values in _backtrack(source, target, [range(target.size)] * n, [()] * n, [None] * n):
-        yield MonotoneMap(source, target, values)
-
-
 @lru_cache(maxsize=None)
-def monotone_maps(source: FiniteLattice, target: FiniteLattice) -> tuple[MonotoneMap, ...]:
-    """Cached tuple form of :func:`iter_monotone_maps`."""
-    return tuple(iter_monotone_maps(source, target))
+def monotone_maps(source: FiniteLattice, target: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    """The value tables of all monotone maps source -> target, in lexicographic order.
+
+    The walk admits only values that keep each table monotone, so no table
+    is checked again as a :class:`MonotoneMap`.
+    """
+    n = source.size
+    return tuple(_backtrack(source, target, [range(target.size)] * n, [()] * n, [None] * n))

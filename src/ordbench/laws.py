@@ -34,13 +34,13 @@ start with the skip bits of their ordered pair and adjoint presence,
 checks a hypothesis.  Search walks bounded lattices only, where no law is
 skipped, and checks none.
 The pair's cache keeps its adjoint connections' records, which lf and rf
-look up by a monotone map's table and share on the maps with both
-adjoints, with no adjoint computed, so a law that several suites or a
+look up by each value table of ``monotone_maps`` and share on the maps with
+both adjoints, with no adjoint computed, so a law that several suites or a
 composition leg read is decided once.  Only search's record decides LF0
 and RF0 after their top-row laws LM0 and RM0: the suites check that LF0
 implies LM0.  A witness is built only for a line that is printed, and no
-report or AdjointConnection at all; the tests state the suites again on
-AdjointConnections and ``eval_law`` reports, as their oracle.
+report, AdjointConnection or MonotoneMap at all; the tests state the suites
+again on AdjointConnections and ``eval_law`` reports, as their oracle.
 
 Each left-hand law is evaluated by one kernel on (P, Q, f, g): the two
 lattices and the value tables of the two adjoints.  A kernel is a single
@@ -500,25 +500,25 @@ def _adjoint_connections(P, Q) -> tuple[_Verdicts, ...]:
 
 
 def _left_cases(P, Q):
-    """Every left adjoint connection P -> Q, one per monotone map.
+    """Every left adjoint connection P -> Q, one per monotone map's value table P -> Q.
 
-    A map with a right adjoint is the left map of one of the pair's adjoint
+    A table with a right adjoint is the left map of one of the pair's adjoint
     connections, all of which :func:`_adjoint_tables` yields, and is its record.
     """
     records, skips = {v.f: v for v in _adjoint_connections(P, Q)}, _skip_bits(P, Q, right=False)
-    for m in monotone_maps(P, Q):
-        yield records.get(m.values) or _Verdicts(P, Q, m.values, None, skips)
+    for f in monotone_maps(P, Q):
+        yield records.get(f) or _Verdicts(P, Q, f, None, skips)
 
 
 def _right_cases(P, Q):
-    """Every right adjoint connection P -> Q, one per monotone map Q -> P.
+    """Every right adjoint connection P -> Q, one per monotone map's value table Q -> P.
 
-    A map with a left adjoint is the right map of one of the pair's adjoint
+    A table with a left adjoint is the right map of one of the pair's adjoint
     connections, and is its record.
     """
     records, skips = {v.g: v for v in _adjoint_connections(P, Q)}, _skip_bits(P, Q, left=False)
-    for m in monotone_maps(Q, P):
-        yield records.get(m.values) or _Verdicts(P, Q, None, m.values, skips)
+    for g in monotone_maps(Q, P):
+        yield records.get(g) or _Verdicts(P, Q, None, g, skips)
 
 
 # theorem -> (connections its suite visits, chain of laws that must agree

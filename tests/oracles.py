@@ -92,6 +92,12 @@ def make_adjoint(c):
     return None if left is None or right is None else AdjointConnection(left, right)
 
 
+def monotone_map_objects(P, Q):
+    """Every monotone map P -> Q as a MonotoneMap, built from (and so validating)
+    each value table of ``monotone_maps``, in its order."""
+    return [MonotoneMap(P, Q, values) for values in monotone_maps(P, Q)]
+
+
 def left_adjoint_connection(f):
     """f's adjoint connection, with the right adjoint when it exists."""
     g = _right_adjoints(f.source, f.target)(f.values)
@@ -524,12 +530,12 @@ def _adjoint_connections(P, Q):
 
 def _left_connections(P, Q):
     """Every left adjoint connection P -> Q, one per monotone map."""
-    return (left_adjoint_connection(f) for f in monotone_maps(P, Q))
+    return (left_adjoint_connection(f) for f in monotone_map_objects(P, Q))
 
 
 def _right_connections(P, Q):
     """Every right adjoint connection P -> Q, one per monotone map."""
-    return (right_adjoint_connection(g) for g in monotone_maps(Q, P))
+    return (right_adjoint_connection(g) for g in monotone_map_objects(Q, P))
 
 
 def _pairs(connections, lattices):

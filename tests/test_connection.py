@@ -17,7 +17,6 @@ from ordbench import (
     find_left_adjoint,
     find_right_adjoint,
     find_weakening_violation,
-    monotone_maps,
     parse_file,
 )
 from ordbench.connection import _adjoint_tables, _join_preserving_maps, _right_adjoints
@@ -33,6 +32,7 @@ from oracles import (
     enumerate_connections,
     left_adjoint_connection,
     make_adjoint,
+    monotone_map_objects,
     opposite,
     relation,
     right_adjoint_connection,
@@ -102,7 +102,7 @@ def test_opposite_involution_and_identity(c3, c2):
 
 
 def test_opposite_exchanges_adjoints(c2, c3):
-    for f in monotone_maps(c2, c3):
+    for f in monotone_map_objects(c2, c3):
         c = connection_of_monotone_left(f)
         op = opposite(c)
         left_of_op = find_left_adjoint(op)
@@ -144,7 +144,7 @@ def test_connection_of_monotone_right_examples(c2):
 
 def test_left_round_trip_all_monotone_maps(c2, c3):
     conns = set()
-    for f in monotone_maps(c2, c3):
+    for f in monotone_map_objects(c2, c3):
         c = connection_of_monotone_left(f)
         assert find_weakening_violation(c.source, c.target, c.rel) is None
         assert find_left_adjoint(c).values == f.values
@@ -153,7 +153,7 @@ def test_left_round_trip_all_monotone_maps(c2, c3):
 
 
 def test_right_round_trip_all_monotone_maps(c2, c3):
-    for g in monotone_maps(c3, c2):  # g: Q -> P with P=C2, Q=C3
+    for g in monotone_map_objects(c3, c2):  # g: Q -> P with P=C2, Q=C3
         c = connection_of_monotone_right(g)
         assert find_weakening_violation(c.source, c.target, c.rel) is None
         assert find_right_adjoint(c).values == g.values
@@ -261,7 +261,7 @@ def test_connection_of_monotone_right_reads_the_order_table(bare_posets):
     posets = list(bare_posets) + small_lattices()
     for P in posets:
         for Q in posets:
-            for g in monotone_maps(Q, P):
+            for g in monotone_map_objects(Q, P):
                 conn = connection_of_monotone_right(g)
                 assert (conn.source, conn.target) == (P, Q)
                 assert conn.rel == tuple(
@@ -296,7 +296,7 @@ def test_enumeration_matches_filtered_monotone_maps(bare_posets):
     pairs += [(P, Q) for P in sixes for Q in catalog() if Q.size <= 4]
     for P, Q in pairs:
         oracle = [
-            ac for f in monotone_maps(P, Q) if (ac := left_adjoint_connection(f)).right is not None
+            ac for f in monotone_map_objects(P, Q) if (ac := left_adjoint_connection(f)).right is not None
         ]
         assert enumerate_adjoint_connections(P, Q) == oracle, (P.name, Q.name)
         tables = [(ac.left.values, ac.right.values) for ac in oracle]
@@ -320,7 +320,7 @@ def test_closed_form_right_adjoint_matches_column_lookup(bare_posets):
     checked = missing = 0
     for P, Q in pairs:
         right = _right_adjoints(P, Q)
-        for f in monotone_maps(P, Q):
+        for f in monotone_map_objects(P, Q):
             oracle = find_right_adjoint(connection_of_monotone_left(f))
             assert right(f.values) == values_or_none(oracle), (P.name, Q.name, f.values)
             assert left_adjoint_connection(f) == AdjointConnection(f, oracle)
@@ -337,7 +337,7 @@ def test_dual_closed_form_left_adjoint_matches_row_lookup(bare_posets, monkeypat
     lattices = [L for L in catalog() if L.size <= 4]
     posets = small_posets(bare_posets)
     pairs = [(P, Q) for P in posets for Q in posets] + [(P, Q) for P in lattices for Q in lattices]
-    maps = [g for P, Q in pairs for g in monotone_maps(Q, P)]
+    maps = [g for P, Q in pairs for g in monotone_map_objects(Q, P)]
     oracles = [AdjointConnection(find_left_adjoint(connection_of_monotone_right(g)), g) for g in maps]
 
     def no_connection(self):
@@ -395,12 +395,12 @@ def test_adjoint_uniqueness_by_exhaustive_map_search(bare_posets, c3, b2):
             assert outcome(lambda: values_or_none(find_left_adjoint(conn))) == expected
             expected = outcome(lambda: MonotoneMap(Q, P, rights[0]).values if rights else None)
             assert outcome(lambda: values_or_none(find_right_adjoint(conn))) == expected
-        for f in monotone_maps(P, Q):
+        for f in monotone_map_objects(P, Q):
             round_trips += 1
             conn = connection_of_monotone_left(f)
             assert left_of[conn.rel] == [f.values]
             assert find_left_adjoint(conn).values == left_adjoint_connection(f).left.values == f.values
-        for g in monotone_maps(Q, P):
+        for g in monotone_map_objects(Q, P):
             round_trips += 1
             conn = connection_of_monotone_right(g)
             assert right_of[conn.rel] == [g.values]
@@ -426,7 +426,7 @@ def test_adjoint_connection_matches_cell_by_cell_oracle(bare_posets):
     """Every left map P -> Q against every right map into P or out of Q, so
     that both ends of a mismatched right map occur."""
     posets = small_posets(bare_posets)
-    maps = {(P, Q): list(monotone_maps(P, Q)) for P in posets for Q in posets}
+    maps = {(P, Q): monotone_map_objects(P, Q) for P in posets for Q in posets}
     built = 0
     for (P, Q), lefts in maps.items():
         rights = [g for (S, R), gs in maps.items() if R is P or S is Q for g in gs]
@@ -476,7 +476,7 @@ def test_adjoint_invariants_over_small_pairs():
 
 
 def test_left_adjoint_connection_bundles(c2, c3):
-    for f in monotone_maps(c2, c3):
+    for f in monotone_map_objects(c2, c3):
         ac = left_adjoint_connection(f)
         assert ac.left.values == f.values
         if ac.right is not None:
@@ -503,8 +503,8 @@ def test_derived_relation_loses_nothing():
         for Q in lattices:
             connections = (
                 enumerate_adjoint_connections(P, Q)
-                + [left_adjoint_connection(f) for f in monotone_maps(P, Q)]
-                + [right_adjoint_connection(g) for g in monotone_maps(Q, P)]
+                + [left_adjoint_connection(f) for f in monotone_map_objects(P, Q)]
+                + [right_adjoint_connection(g) for g in monotone_map_objects(Q, P)]
             )
             for ac in connections:
                 assert_relation_derived(ac)

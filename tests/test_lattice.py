@@ -19,7 +19,7 @@ from ordbench import (
     divisor_lattice,
     dual,
     from_leq,
-    iter_monotone_maps,
+    monotone_maps,
 )
 from ordbench import quantale, textio
 from ordbench.lattice import MAX_ELEMENTS, _finalize
@@ -31,6 +31,7 @@ from oracles import (
     down_set,
     is_lattice_by_tables,
     modular_by_tables,
+    monotone_map_objects,
     monotone_scan,
     up_set,
 )
@@ -347,25 +348,25 @@ def test_down_set_bad_index(c3):
         down_set(c3, 7)
 
 
-def test_monotone_map_count_c2_c3(c2, c3):
-    maps = list(iter_monotone_maps(c2, c3))
-    assert len(maps) == 6
-    # lexicographic order of value tables
-    tables = [m.values for m in maps]
-    assert tables == sorted(tables)
-    # agrees with brute-force filtering of all maps
-    brute = [
-        (y0, y1)
-        for y0 in range(3)
-        for y1 in range(3)
-        if all(
-            c3.leq[[y0, y1][a]][[y0, y1][b]]
-            for a in range(2)
-            for b in range(2)
-            if c2.leq[a][b]
-        )
-    ]
-    assert tables == brute
+def test_monotone_map_count_c2_c3(c2, c3, bare_posets):
+    """The walk's value tables are the monotone maps that brute-force filtering
+    of every table finds, in lexicographic order, and each builds a MonotoneMap.
+
+    C2 -> C3 has 6; then every ordered pair of the catalog lattices of size
+    <= 4 and the bare posets, empty and non-lattice ones included.
+    """
+    assert len(monotone_maps(c2, c3)) == 6
+    posets = [L for L in catalog() if L.size <= 4] + list(bare_posets)
+    for P in posets:
+        comparable = [(a, b) for a in range(P.size) for b in range(P.size) if P.leq[a][b]]
+        for Q in posets:
+            brute = [
+                values
+                for values in itertools.product(range(Q.size), repeat=P.size)
+                if all(Q.leq[values[a]][values[b]] for a, b in comparable)
+            ]
+            assert list(monotone_maps(P, Q)) == brute, (P.name, Q.name)
+            assert [m.values for m in monotone_map_objects(P, Q)] == brute, (P.name, Q.name)
 
 
 def test_monotone_map_rejects_non_monotone(c2):

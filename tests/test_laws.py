@@ -49,6 +49,7 @@ from oracles import (
     enumerate_adjoint_connections,
     left_adjoint_connection,
     make_adjoint,
+    monotone_map_objects,
     modularity_failures,
     modularity_forms,
     operands,
@@ -188,9 +189,9 @@ def test_witnesses_are_reproducible():
 
 def _one_sided_connections(P, Q):
     """Every left connection P -> Q, then every right connection P -> Q."""
-    for f in monotone_maps(P, Q):
+    for f in monotone_map_objects(P, Q):
         yield left_adjoint_connection(f)
-    for g in monotone_maps(Q, P):
+    for g in monotone_map_objects(Q, P):
         yield right_adjoint_connection(g)
 
 
@@ -752,6 +753,31 @@ def test_search_decides_lf0_and_rf0_only_where_their_top_rows_hold(predicate, mo
             assert decided[(row, *key)] is True, (law_id, key)
             whole += 1
     assert 0 < whole < result.cases
+
+
+def test_suites_and_search_build_no_monotone_map(monkeypatch):
+    """The suites and the search walk value tables: over every suite on the
+    catalog, and a search that finds nothing, no MonotoneMap is built.
+
+    The caches start cold, since tables or records they already hold would
+    hide the objects a first walk builds.
+    """
+    built = 0
+    check = MonotoneMap.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting_post_init)
+    monotone_maps.cache_clear()
+    laws._adjoint_connections.cache_clear()
+    lattices = catalog()
+    cases = sum(run_suite(name, lattices).cases for name in laws.SUITE_ORDER)
+    assert cases > 0 and built == 0
+    result = search_counterexample("LM0 & RM0 & !(LF0 & RF0)", 4, modular_only=True, include_generated=True)
+    assert result.found is None and result.cases > 0 and built == 0
 
 
 def test_suite_lf_counts_all_monotone_maps(c2, c3):
